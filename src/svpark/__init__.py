@@ -66,10 +66,12 @@ from .reduction import (
 )
 from .noise import BrownianPaths, IncrementView, coarsen, coarsen_array, generate
 from .stochastic import (
+    Stepper,
     StochasticQuadrature,
     Trajectory,
     default_quadrature,
     euler_maruyama_reference_step,
+    integrate,
     make_stepper,
     simulate_path,
     stochastic_variational_euler_step,

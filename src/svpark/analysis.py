@@ -12,6 +12,7 @@ because each path owns an independent random stream and the accumulation
 order is fixed, the results do not depend on the blocking.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .exceptions import (
 from .model import State, legendre_velocity, project_state
 from .noise import coarsen_array
 from .solver import DEFAULT_NEWTON
-from .stochastic import make_stepper
+from .stochastic import integrate, make_stepper
 
 __all__ = [
     "ConvergenceReport",
@@ -125,33 +126,11 @@ class DriftMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Shared-path ensemble driver
-
-
-def _ensemble_endpoints(system, method, x0, increments, h, num_steps, config):
-    """Integrate a batch of paths and return the endpoint (q, p) arrays."""
-    stepper = make_stepper(system, method, config)
-    if increments is not None:
-        batch = (increments.shape[0],)
-    else:
-        batch = x0.q.shape[:-1] or (1,)
-    n = system.dim_q
-    q = np.broadcast_to(x0.q, batch + (n,)).copy()
-    p = np.broadcast_to(x0.p, batch + (n,)).copy()
-    state = State(q=q, p=p)
-    v = legendre_velocity(system, state.q, state.p, config)
-    warm = None
-    for k in range(num_steps):
-        dW = increments[:, :, k] if increments is not None else None
-        result, v, warm = stepper.step(state, v, dW, h, warm)
-        state = result.state
-    return state.q, state.p
+# Shared-path sweep
 
 
 def _validate_ladder(paths, h_ladder, T, ref_refine):
-    if T is None:
-        T = paths.t1 - paths.t0
-    elif abs(T - (paths.t1 - paths.t0)) > 1e-12 * max(1.0, abs(T)):
+    if T is not None and abs(T - (paths.t1 - paths.t0)) > 1e-12 * max(1.0, abs(T)):
         raise ValueError("horizon does not match the path ensemble")
     h_ladder = sorted(set(float(h) for h in h_ladder), reverse=True)
     if len(h_ladder) < 3:
@@ -176,13 +155,30 @@ def _validate_ladder(paths, h_ladder, T, ref_refine):
         raise ValueError(
             f"path base resolution {h_base} must equal min(h)/ref_refine = {h_ref}"
         )
-    return T, h_ladder, factors
+    return h_ladder, factors
 
 
-def _iter_blocks(paths, block_size):
+def _sweep(system, method, x0, paths, h_ladder, T, ref_refine, config, block_size):
+    """Validate the ladder, then integrate the paths block by block.
+
+    For each block yields (None, q, p) with the reference endpoints at the
+    paths' base resolution, then (h, q, p) for every ladder rung, coarsest
+    first; the rungs consume dyadic coarsenings of the block's increments.
+    """
+    h_ladder, factors = _validate_ladder(paths, h_ladder, T, ref_refine)
+
+    def endpoints(increments, h):
+        for result, _ in integrate(
+            system, method, x0, increments, h, increments.shape[-1], config
+        ):
+            pass
+        return result.state.q, result.state.p
+
     for start in range(0, paths.num_paths, block_size):
-        stop = min(start + block_size, paths.num_paths)
-        yield paths.block(start, stop)
+        block = paths.block(start, min(start + block_size, paths.num_paths))
+        yield (None, *endpoints(block, paths.h_base))
+        for h, factor in zip(h_ladder, factors):
+            yield (h, *endpoints(coarsen_array(block, factor), h))
 
 
 def strong_error_study(
@@ -205,23 +201,20 @@ def strong_error_study(
     together with the fitted log-log slopes.
     """
     cfg = config or DEFAULT_NEWTON
-    T, h_ladder, factors = _validate_ladder(paths, h_ladder, T, ref_refine)
-    sums = {h: np.zeros(3) for h in h_ladder}          # sum ||dq||^2, ||dp||^2, pooled
-    sumsq_pooled = {h: 0.0 for h in h_ladder}
-    for block in _iter_blocks(paths, block_size):
-        q_ref, p_ref = _ensemble_endpoints(
-            system, method, x0, block, paths.h_base, block.shape[-1], cfg
-        )
-        for h, factor in zip(h_ladder, factors):
-            coarse = coarsen_array(block, factor)
-            q_h, p_h = _ensemble_endpoints(
-                system, method, x0, coarse, h, coarse.shape[-1], cfg
-            )
-            eq = np.sum((q_h - q_ref) ** 2, axis=-1)
-            ep = np.sum((p_h - p_ref) ** 2, axis=-1)
-            pooled = eq + ep
-            sums[h] += [eq.sum(), ep.sum(), pooled.sum()]
-            sumsq_pooled[h] += float(np.sum(pooled**2))
+    sums = defaultdict(lambda: np.zeros(3))         # sum ||dq||^2, ||dp||^2, pooled
+    sumsq_pooled = defaultdict(float)
+    for h, q, p in _sweep(
+        system, method, x0, paths, h_ladder, T, ref_refine, cfg, block_size
+    ):
+        if h is None:
+            q_ref, p_ref = q, p
+            continue
+        eq = np.sum((q - q_ref) ** 2, axis=-1)
+        ep = np.sum((p - p_ref) ** 2, axis=-1)
+        pooled = eq + ep
+        sums[h] += [eq.sum(), ep.sum(), pooled.sum()]
+        sumsq_pooled[h] += float(np.sum(pooled**2))
+    h_ladder = list(sums)
     M = paths.num_paths
     err_q = np.sqrt([sums[h][0] / M for h in h_ladder])
     err_p = np.sqrt([sums[h][1] / M for h in h_ladder])
@@ -260,22 +253,19 @@ def weak_error_study(
     reaches half the largest weak error.
     """
     cfg = config or DEFAULT_NEWTON
-    T, h_ladder, factors = _validate_ladder(paths, h_ladder, T, ref_refine)
-    sum_d = {h: 0.0 for h in h_ladder}
-    sum_d2 = {h: 0.0 for h in h_ladder}
-    for block in _iter_blocks(paths, block_size):
-        q_ref, p_ref = _ensemble_endpoints(
-            system, method, x0, block, paths.h_base, block.shape[-1], cfg
-        )
-        phi_ref = np.asarray(observable(q_ref, p_ref), dtype=float)
-        for h, factor in zip(h_ladder, factors):
-            coarse = coarsen_array(block, factor)
-            q_h, p_h = _ensemble_endpoints(
-                system, method, x0, coarse, h, coarse.shape[-1], cfg
-            )
-            d = np.asarray(observable(q_h, p_h), dtype=float) - phi_ref
-            sum_d[h] += float(d.sum())
-            sum_d2[h] += float(np.sum(d * d))
+    sum_d = defaultdict(float)
+    sum_d2 = defaultdict(float)
+    for h, q, p in _sweep(
+        system, method, x0, paths, h_ladder, T, ref_refine, cfg, block_size
+    ):
+        phi = np.asarray(observable(q, p), dtype=float)
+        if h is None:
+            phi_ref = phi
+            continue
+        d = phi - phi_ref
+        sum_d[h] += float(d.sum())
+        sum_d2[h] += float(np.sum(d * d))
+    h_ladder = list(sum_d)
     M = paths.num_paths
     errors = np.array([abs(sum_d[h] / M) for h in h_ladder])
     stderr = []

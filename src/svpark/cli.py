@@ -11,7 +11,7 @@ Config schema (JSON object)::
       "model":         {"name": "spherical_pendulum"},
       "integrator":    {"method": "stochastic_variational_euler",
                         "tableau": "rattle_trapezoidal",   # vprk methods
-                        "quad": {"nu": [...], "kappa": [...]}},
+                        "quad": {"nu": [...]}},            # kappa: zeros only
       "initial_state": {"q": [...], "p": [...]},
       "horizon":       {"start": 0.0, "end": 1.0},
       "step":          {"h": 0.01}                          # simulate/drift/symplecticity
@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _fmt,
     drift_metrics,
     strong_error_study,
     symplecticity_check,
@@ -50,10 +51,9 @@ from .model import (
     hidden_residual,
     project_state,
 )
-from .noise import generate
+from .noise import coarsen, generate
 from .solver import NewtonConfig
 from .stochastic import make_stepper, simulate_path
-from .noise import coarsen
 
 __all__ = ["run", "main", "load_config"]
 
@@ -152,26 +152,16 @@ def _observable(system, name):
     _fail(f"unknown observable {name!r}; available: height, energy")
 
 
-def _noise_block(resolved, T0, T1, required=True):
+def _noise_block(resolved, num_channels, T0, T1):
     noise = resolved.get("noise")
     if noise is None:
-        if required:
-            _fail("this study requires a 'noise' section (seed, paths, base_steps)")
-        return None
+        _fail("this study requires a 'noise' section (seed, paths, base_steps)")
     num_paths = noise.get("paths", noise.get("num_paths"))
     if num_paths is None or "seed" not in noise or "base_steps" not in noise:
         _fail("noise section needs seed, paths and base_steps")
     return generate(
-        noise["seed"],
-        num_paths,
-        resolved.get("_num_channels", 3),
-        noise["base_steps"],
-        horizon=(T0, T1),
+        noise["seed"], num_paths, num_channels, noise["base_steps"], horizon=(T0, T1)
     )
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _write_trajectory_csv(path, traj, n):
@@ -202,7 +192,6 @@ def run(config_path, output_dir=None) -> int:
     resolved.setdefault("output_dir", "svpark_out")
 
     system = _build_system(resolved)
-    resolved["_num_channels"] = system.num_noise
     x0 = _validate_initial_state(system, resolved)
     newton = NewtonConfig(
         tol_residual=resolved["newton"]["tol"], max_iter=resolved["newton"]["max_iter"]
@@ -215,7 +204,7 @@ def run(config_path, output_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = [f"svpark {__version__}", f"study: {study}", f"method: {method['method']}"]
 
-    stepper_probe = make_stepper(system, method, newton)
+    uses_noise = make_stepper(system, method, newton).uses_noise and system.num_noise > 0
 
     if study in ("simulate", "drift"):
         h = float(resolved["step"]["h"])
@@ -223,14 +212,14 @@ def run(config_path, output_dir=None) -> int:
         if abs(num_steps * h - (t1 - t0)) > 1e-9:
             _fail(f"step h = {h} does not divide the horizon length {t1 - t0}")
         view = None
-        if stepper_probe.uses_noise and system.num_noise > 0:
+        if uses_noise:
             base = 1
             while base < num_steps:
                 base *= 2
-            paths = _noise_block(resolved, t0, t0 + base * h)
+            paths = _noise_block(resolved, system.num_noise, t0, t0 + base * h)
             if paths.base_steps < num_steps:
                 _fail("noise base_steps too small for the requested horizon")
-            view = coarsen(paths, 1)
+            view = coarsen(paths, paths.base_steps // base)
         traj = simulate_path(
             system, method, x0, view, path_index=0, h=h, num_steps=num_steps,
             config=newton,
@@ -248,7 +237,7 @@ def run(config_path, output_dir=None) -> int:
         ladder = [float(h) for h in resolved["step"]["h_ladder"]]
         ref_refine = int(resolved["step"]["ref_refine"])
         expected_base = int(round((t1 - t0) / (min(ladder) / ref_refine)))
-        paths = _noise_block(resolved, t0, t1)
+        paths = _noise_block(resolved, system.num_noise, t0, t1)
         if paths.base_steps != expected_base:
             _fail(
                 f"noise base_steps = {paths.base_steps} but the ladder needs "
@@ -280,7 +269,7 @@ def run(config_path, output_dir=None) -> int:
     elif study == "symplecticity":
         h = float(resolved["step"]["h"])
         dW = None
-        if stepper_probe.uses_noise and system.num_noise > 0:
+        if uses_noise:
             noise = resolved.get("noise") or {}
             seed = noise.get("seed", 0)
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -291,7 +280,6 @@ def run(config_path, output_dir=None) -> int:
         )
         summary.append(f"symplecticity residual: {residual:.6e}")
 
-    resolved.pop("_num_channels", None)
     manifest = dict(resolved)
     manifest["_manifest"] = {"version": __version__}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

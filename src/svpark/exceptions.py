@@ -44,10 +44,10 @@ class RankDeficient(SvparkError):
 
 
 class ConditionViolated(SvparkError):
-    """A Butcher tableau does not admit a well-defined constrained update."""
+    """A tableau or its noise quadrature admits no well-defined constrained update."""
 
     def __init__(self, reasons):
-        super().__init__("tableau not admissible: " + "; ".join(reasons))
+        super().__init__("integrator not admissible: " + "; ".join(reasons))
         self.reasons = list(reasons)
 
 

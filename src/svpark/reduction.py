@@ -50,6 +50,7 @@ class ReducedDynamics:
 
 
 def _gram_pieces(system, q, v):
+    """G^T, the Gram matrix and the projector B, from one solve with M."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     G = system.dg_dq(q)
@@ -66,25 +67,23 @@ def _gram_pieces(system, q, v):
             f"constraint Gram matrix singular (cond = {np.max(cond):.3e}); "
             "constraint Jacobian is rank deficient"
         )
-    return G, GT, M, gram
+    B = GT @ np.linalg.solve(gram, np.swapaxes(MinvGT, -1, -2))
+    return GT, gram, B
 
 
 def constraint_gram(system, q, v):
     """G M^{-1} G^T, shape (..., k, k).  Raises RankDeficient when singular."""
-    return _gram_pieces(system, q, v)[3]
+    return _gram_pieces(system, q, v)[1]
 
 
 def constraint_projector(system, q, v):
     """G^T Gram^{-1} G M^{-1}, the idempotent projector onto constraint forces."""
-    G, GT, M, gram = _gram_pieces(system, q, v)
-    GMinv = np.swapaxes(np.linalg.solve(M, GT), -1, -2)
-    return GT @ np.linalg.solve(gram, GMinv)
+    return _gram_pieces(system, q, v)[2]
 
 
 def projection_matrices(system, q, v) -> ProjectionMatrices:
-    G, GT, M, gram = _gram_pieces(system, q, v)
-    GMinv = np.swapaxes(np.linalg.solve(M, GT), -1, -2)
-    return ProjectionMatrices(gram=gram, projector=GT @ np.linalg.solve(gram, GMinv))
+    _, gram, B = _gram_pieces(system, q, v)
+    return ProjectionMatrices(gram=gram, projector=B)
 
 
 def reduced_drift_diffusion(system, q, v) -> ReducedDynamics:
@@ -97,9 +96,7 @@ def reduced_drift_diffusion(system, q, v) -> ReducedDynamics:
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    G, GT, M, gram = _gram_pieces(system, q, v)
-    GMinv = np.swapaxes(np.linalg.solve(M, GT), -1, -2)
-    B = GT @ np.linalg.solve(gram, GMinv)
+    GT, gram, B = _gram_pieces(system, q, v)
 
     force = system.dL_dq(q, v)
     hess_vv = system.d2g_dq2_vv(q, v)

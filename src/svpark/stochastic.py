@@ -1,4 +1,4 @@
-"""Stochastic constrained integrators and the trajectory driver.
+"""Stochastic constrained integrators, the method table and the integration loop.
 
 The stochastic steps reuse the deterministic implicit cores: Brownian
 increments enter the residuals as fixed per-step constants (no
@@ -7,6 +7,7 @@ so setting all increments to zero reproduces the deterministic schemes
 exactly, down to the bit pattern of the Newton iterates.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,8 @@ from .deterministic import (
     euler_a_with_projection,
     euler_b_with_projection,
     rattle_step,
-    vprk_step,
 )
-from .exceptions import ConditionViolated
+from .exceptions import ConditionViolated, NameNotFound
 from .model import (
     State,
     energy,
@@ -38,45 +38,48 @@ __all__ = [
     "stochastic_variational_euler_step",
     "stochastic_vprk_step",
     "euler_maruyama_reference_step",
+    "Stepper",
+    "make_stepper",
+    "integrate",
     "simulate_path",
     "Trajectory",
-    "make_stepper",
 ]
 
 
 @dataclass(frozen=True)
 class StochasticQuadrature:
-    """Stage weights for the noise quadrature of the stochastic RK step.
+    """Stage weights ``nu`` for the noise quadrature of the stochastic RK step.
 
-    The shipped realization draws phi_r from the step's Brownian increment
-    and sets psi_r to zero, which yields the first-order schemes; the
-    higher-order realizations require auxiliary random variables that this
-    package does not generate.  ``nu`` should sum to one for consistency.
+    The shipped realization draws the stage noise from the step's Brownian
+    increment, which yields the first-order schemes; the higher-order
+    realizations require auxiliary random variables that this package does
+    not generate.  ``nu`` should sum to one for consistency.
     """
 
     nu: np.ndarray
-    kappa: np.ndarray
-    phi_source: str = "brownian_increment"
-    psi_source: str = "zero"
 
     def __post_init__(self):
         nu = np.array(self.nu, dtype=float)
-        kappa = np.array(self.kappa, dtype=float)
-        if nu.shape != kappa.shape or nu.ndim != 1:
-            raise ValueError("nu and kappa must be vectors of the stage count")
-        if self.phi_source != "brownian_increment" or self.psi_source != "zero":
-            raise ValueError(
-                "only phi_source='brownian_increment', psi_source='zero' is realized"
-            )
         nu.setflags(write=False)
-        kappa.setflags(write=False)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "kappa", kappa)
 
 
 def default_quadrature(tableau) -> StochasticQuadrature:
-    """nu = b (summing to one for a consistent tableau), kappa = 0."""
-    return StochasticQuadrature(nu=tableau.b.copy(), kappa=np.zeros(tableau.s))
+    """nu = b, which sums to one for a consistent tableau."""
+    return StochasticQuadrature(nu=tableau.b.copy())
+
+
+def _stage_weights(tableau, quad):
+    """Check the tableau's admissibility and the quadrature's stage count;
+    returns nu (b when ``quad`` is None)."""
+    check_admissibility(tableau).require()
+    if quad is None:
+        quad = default_quadrature(tableau)
+    if quad.nu.shape != (tableau.s,):
+        raise ConditionViolated(
+            [f"quadrature has {quad.nu.size} weights nu for {tableau.s} stages"]
+        )
+    return quad.nu
 
 
 def stochastic_variational_euler_step(
@@ -107,20 +110,12 @@ def stochastic_vprk_step(
 ) -> StepResult:
     """One step of the stochastic constrained partitioned Runge-Kutta scheme.
 
-    Requires an admissible tableau.  ``quad`` defaults to nu = b, kappa = 0.
-    The increments ``dW`` (shape (..., m)) are treated as known constants
-    inside the implicit stage equations.
+    Requires an admissible tableau and one weight per stage; ``quad``
+    defaults to nu = b.  The increments ``dW`` (shape (..., m)) are treated
+    as known constants inside the implicit stage equations.
     """
-    check_admissibility(tableau).require()
-    if quad is None:
-        quad = default_quadrature(tableau)
-    if len(quad.nu) != tableau.s:
-        raise ConditionViolated(
-            [f"quadrature has {len(quad.nu)} weights for {tableau.s} stages"]
-        )
-    return _vprk_core(
-        system, tableau, x, h, config, nu=quad.nu, dW=dW, v=v, warm=warm
-    )
+    nu = _stage_weights(tableau, quad)
+    return _vprk_core(system, tableau, x, h, config, nu=nu, dW=dW, v=v, warm=warm)
 
 
 def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
@@ -146,124 +141,114 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
 
 
 # ---------------------------------------------------------------------------
-# Method registry and the trajectory driver
+# Method table, the integration loop and the trajectory recorder
 
 
-class _Stepper:
-    """Uniform stepping interface: mutable warm state, batched step call."""
-
-    uses_noise = False
-
-    def __init__(self, system, config):
-        self.system = system
-        self.config = config
-
-    def step(self, state, v, dW, h, warm):
-        raise NotImplementedError
+# step(state, v, dW, h, warm) -> (StepResult, v, warm); uses_noise: reads dW.
+Stepper = namedtuple("Stepper", "step uses_noise")
 
 
-class _RattleStepper(_Stepper):
-    def step(self, state, v, dW, h, warm):
-        res = rattle_step(self.system, state, h, self.config, v=v, warm=warm)
-        return res, res.velocity, res.warm
+def _em_step(system, cfg, rk, x, v, dW, h, warm):
+    if v is None:
+        v = legendre_velocity(system, x.q, x.p, cfg)
+    q_next, v_next, p_next = euler_maruyama_reference_step(system, x.q, v, dW, h, cfg)
+    return StepResult(
+        state=State(q=q_next, p=p_next),
+        stages=None,
+        multipliers=[],
+        newton_iters=0,
+        velocity=v_next,
+    )
 
 
-class _VprkStepper(_Stepper):
-    def __init__(self, system, config, tableau, quad=None, stochastic=False):
-        super().__init__(system, config)
-        check_admissibility(tableau).require()
-        self.tableau = tableau
-        self.quad = quad or default_quadrature(tableau)
-        self.uses_noise = stochastic
-
-    def step(self, state, v, dW, h, warm):
-        res = _vprk_core(
-            self.system, self.tableau, state, h, self.config,
-            nu=self.quad.nu if self.uses_noise else None,
-            dW=dW if self.uses_noise else None,
-            v=v, warm=warm,
-        )
-        return res, res.velocity, res.warm
-
-
-class _EulerAStepper(_Stepper):
-    def step(self, state, v, dW, h, warm):
-        res = euler_a_with_projection(self.system, state, h, self.config, warm=warm)
-        return res, res.velocity, res.warm
+# name -> (uses_noise, step(system, config, (tableau, nu), x, v, dW, h, warm)).
+# The step functions are looked up in this module each time a step runs, so
+# replacing a module attribute (as a profiler does) reaches every stepper.
+_METHODS = {
+    "rattle": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+        rattle_step(system, x, h, cfg, v=v, warm=warm)),
+    "vprk": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+        _vprk_core(system, rk[0], x, h, cfg, nu=None, dW=None, v=v, warm=warm)),
+    "stochastic_vprk": (True, lambda system, cfg, rk, x, v, dW, h, warm:
+        _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v, warm=warm)),
+    "euler_a": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+        euler_a_with_projection(system, x, h, cfg, warm=warm)),
+    "euler_b": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+        euler_b_with_projection(system, x, h, cfg, v=v, warm=warm)),
+    "stochastic_variational_euler": (True, lambda system, cfg, rk, x, v, dW, h, warm:
+        stochastic_variational_euler_step(system, x, dW, h, cfg, v=v, warm=warm)),
+    "euler_maruyama_ref": (True, _em_step),
+}
 
 
-class _EulerBStepper(_Stepper):
-    def step(self, state, v, dW, h, warm):
-        res = euler_b_with_projection(
-            self.system, state, h, self.config, v=v, warm=warm
-        )
-        return res, res.velocity, res.warm
-
-
-class _SveStepper(_Stepper):
-    uses_noise = True
-
-    def step(self, state, v, dW, h, warm):
-        res = stochastic_variational_euler_step(
-            self.system, state, dW, h, self.config, v=v, warm=warm
-        )
-        return res, res.velocity, res.warm
-
-
-class _EmStepper(_Stepper):
-    uses_noise = True
-
-    def step(self, state, v, dW, h, warm):
-        if v is None:
-            v = legendre_velocity(self.system, state.q, state.p, self.config)
-        q_next, v_next, p_next = euler_maruyama_reference_step(
-            self.system, state.q, v, dW, h, self.config
-        )
-        res = StepResult(
-            state=State(q=q_next, p=p_next),
-            stages=None,
-            multipliers=[],
-            newton_iters=0,
-        )
-        return res, v_next, None
-
-
-def make_stepper(system, method, config=None) -> _Stepper:
-    """Build a stepper from a method spec.
+def make_stepper(system, method, config=None) -> Stepper:
+    """Build a stepper from a method spec, validating the spec once.
 
     ``method`` is either a name or a dict {"method": name, "tableau": ...,
-    "quad": {"nu": ..., "kappa": ...}}.  Known names: rattle, vprk,
-    euler_a, euler_b, stochastic_variational_euler, stochastic_vprk,
-    euler_maruyama_ref.
+    "quad": {"nu": [...]}}.  Known names: rattle, vprk, euler_a, euler_b,
+    stochastic_variational_euler, stochastic_vprk, euler_maruyama_ref.
+    Raises NameNotFound for an unknown name and ConditionViolated for an
+    inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
+    ``quad.kappa`` (accepted only as all zeros, so old manifests replay).
     """
-    if isinstance(method, str):
-        method = {"method": method}
-    name = method["method"]
+    spec = {"method": method} if isinstance(method, str) else method
+    name = spec["method"]
+    if name not in _METHODS:
+        raise NameNotFound(f"unknown integrator {name!r}")
+    uses_noise, step_fn = _METHODS[name]
     cfg = config or DEFAULT_NEWTON
-    if name == "rattle":
-        return _RattleStepper(system, cfg)
+    rk = None
     if name in ("vprk", "stochastic_vprk"):
-        tableau = tableau_from_config(method.get("tableau", "rattle_trapezoidal"))
-        quad = None
-        if "quad" in method:
-            quad = StochasticQuadrature(
-                nu=method["quad"]["nu"],
-                kappa=method["quad"].get("kappa", np.zeros(len(method["quad"]["nu"]))),
-            )
-        return _VprkStepper(
-            system, cfg, tableau, quad, stochastic=(name == "stochastic_vprk")
-        )
-    if name == "euler_a":
-        return _EulerAStepper(system, cfg)
-    if name == "euler_b":
-        return _EulerBStepper(system, cfg)
-    if name == "stochastic_variational_euler":
-        return _SveStepper(system, cfg)
-    if name == "euler_maruyama_ref":
-        return _EmStepper(system, cfg)
-    from .exceptions import NameNotFound
+        tableau = tableau_from_config(spec.get("tableau", "rattle_trapezoidal"))
+        quad = spec.get("quad")
+        if quad is not None:
+            kappa = np.asarray(quad.get("kappa", 0.0), dtype=float)
+            if np.any(kappa != 0.0):
+                raise ConditionViolated(
+                    [f"quadrature kappa = {kappa.tolist()} is not realized (only zeros are)"]
+                )
+            quad = StochasticQuadrature(nu=quad["nu"])
+        rk = (tableau, _stage_weights(tableau, quad))
 
-    raise NameNotFound(f"unknown integrator {name!r}")
+    def step(state, v, dW, h, warm):
+        result = step_fn(system, cfg, rk, state, v, dW, h, warm)
+        return result, result.velocity, result.warm
+
+    return Stepper(step, uses_noise)
+
+
+def integrate(system, method, x0: State, increments, h, num_steps, config=None):
+    """Advance ``x0`` by ``num_steps`` steps of size ``h``; a generator.
+
+    ``increments`` has shape (..., m, steps), or is None for a method that
+    reads no noise; ``x0`` is broadcast to its batch shape (...).  Yields
+    (StepResult, velocity) after each step.  Errors raised by a step are
+    re-raised with the step index prepended.
+    """
+    cfg = config or DEFAULT_NEWTON
+    stepper = make_stepper(system, method, cfg)
+    if increments is None:
+        if stepper.uses_noise and system.num_noise > 0:
+            raise ValueError("stochastic method requires increments")
+        batch = np.shape(x0.q)[:-1]
+    else:
+        batch = increments.shape[:-2]
+    shape = batch + (system.dim_q,)
+    state = State(
+        q=np.array(np.broadcast_to(x0.q, shape), dtype=float),
+        p=np.array(np.broadcast_to(x0.p, shape), dtype=float),
+    )
+    v = legendre_velocity(system, state.q, state.p, cfg)
+    warm = None
+    for step_index in range(num_steps):
+        dW = increments[..., step_index] if increments is not None else None
+        try:
+            result, v, warm = stepper.step(state, v, dW, h, warm)
+        except Exception as err:
+            err.args = (f"step {step_index}: {err.args[0] if err.args else err}",)
+            raise
+        state = result.state
+        yield result, v
 
 
 @dataclass
@@ -285,14 +270,6 @@ class Trajectory:
     multipliers: list
     newton_iters: np.ndarray
 
-    @property
-    def states(self):
-        return [State(q=self.q[i], p=self.p[i]) for i in range(self.q.shape[0])]
-
-    @property
-    def final_state(self):
-        return State(q=self.q[-1], p=self.p[-1])
-
 
 def simulate_path(
     system,
@@ -312,7 +289,6 @@ def simulate_path(
     raised by a step are re-raised with the step index prepended.
     """
     cfg = config or DEFAULT_NEWTON
-    stepper = make_stepper(system, method, cfg)
     inc = None
     if increments is not None:
         inc = increments.increments[path_index]
@@ -327,20 +303,10 @@ def simulate_path(
             num_steps = inc.shape[-1]
         elif num_steps > inc.shape[-1]:
             raise ValueError("num_steps exceeds available increments")
-    else:
-        if stepper.uses_noise and system.num_noise > 0:
-            raise ValueError("stochastic method requires increments")
-        if num_steps is None:
-            raise ValueError("num_steps required without increments")
-        if h is None:
-            raise ValueError("h required without increments")
+    elif num_steps is None or h is None:
+        raise ValueError("h and num_steps are required without increments")
 
     n = system.dim_q
-    q = np.array(x0.q, dtype=float)
-    p = np.array(x0.p, dtype=float)
-    v = legendre_velocity(system, q, p, cfg)
-
-    times = np.empty(num_steps + 1)
     qs = np.empty((num_steps + 1, n))
     ps = np.empty((num_steps + 1, n))
     vs = np.empty((num_steps + 1, n))
@@ -350,30 +316,23 @@ def simulate_path(
     iters = np.zeros(num_steps, dtype=int)
     multipliers = []
 
-    def record(i, t, q, p, v):
-        times[i] = t
+    def record(i, q, p, v):
         qs[i], ps[i], vs[i] = q, p, v
         cons[i] = np.max(np.abs(system.constraint(q)))
         hid[i] = np.max(np.abs(system.dg_dq(q) @ v))
         en[i] = energy(system, q, p=p, v=v)
 
-    record(0, 0.0, q, p, v)
-    state = State(q=q, p=p)
-    warm = None
-    for step_index in range(num_steps):
-        dW = inc[:, step_index] if inc is not None else None
-        try:
-            result, v, warm = stepper.step(state, v, dW, h, warm)
-        except Exception as err:
-            err.args = (f"step {step_index}: {err.args[0] if err.args else err}",)
-            raise
-        state = result.state
-        iters[step_index] = result.newton_iters
+    q0 = np.array(x0.q, dtype=float)
+    p0 = np.array(x0.p, dtype=float)
+    record(0, q0, p0, legendre_velocity(system, q0, p0, cfg))
+    steps = integrate(system, method, x0, inc, h, num_steps, cfg)
+    for i, (result, v) in enumerate(steps, start=1):
+        iters[i - 1] = result.newton_iters
         if result.multipliers:
-            multipliers.append(np.concatenate([np.atleast_1d(m) for m in result.multipliers]))
-        record(step_index + 1, (step_index + 1) * h, state.q, state.p, v)
+            multipliers.append(np.concatenate([np.ravel(m) for m in result.multipliers]))
+        record(i, result.state.q, result.state.p, v)
     return Trajectory(
-        times=times,
+        times=np.arange(num_steps + 1) * h,
         q=qs,
         p=ps,
         v=vs,

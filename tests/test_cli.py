@@ -184,3 +184,75 @@ def test_missing_study_rejected(tmp_path):
     path.write_text(json.dumps({"integrator": {"method": "rattle"}}))
     with pytest.raises(ConfigInvalid):
         run(path, output_dir=tmp_path / "out")
+
+
+README_METHODS = (
+    "rattle",
+    "vprk",
+    "euler_a",
+    "euler_b",
+    "stochastic_variational_euler",
+    "stochastic_vprk",
+    "euler_maruyama_ref",
+)
+
+
+def read_trajectory(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [[float(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("method", README_METHODS)
+@pytest.mark.parametrize("study", ["simulate", "drift"])
+def test_every_readme_method_runs_through_simulate(tmp_path, method, study):
+    config = write_config(
+        tmp_path,
+        study=study,
+        integrator={"method": method},
+        step={"h": 0.0625},
+        noise={"seed": 3, "paths": 1, "base_steps": 16},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 0
+    rows = read_trajectory(out / f"{'trajectory' if study == 'simulate' else 'drift'}.csv")
+    assert len(rows) == 17
+    # Columns: t, q1..q3, p1..p3, constraint, hidden, energy.  The explicit
+    # reference scheme does not re-enforce the constraints by design.
+    if method != "euler_maruyama_ref":
+        assert max(row[7] for row in rows) <= 1e-9
+        assert max(row[8] for row in rows) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "quad", [{"nu": [0.5, 0.5], "kappa": [0.25, 0.0]}, {"nu": [1.0]}]
+)
+def test_ignored_quadrature_input_is_rejected(tmp_path, capsys, quad):
+    config = write_config(
+        tmp_path,
+        integrator={"method": "stochastic_vprk", "tableau": "rattle_trapezoidal",
+                    "quad": quad},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 1
+    assert "not admissible: quadrature" in capsys.readouterr().err
+    assert not (out / "strong.csv").exists()
+
+
+def test_simulate_coarsens_finer_noise(tmp_path):
+    # 16 steps on a 32-step Brownian path: every step consumes two base
+    # increments, exactly like simulate_path on a coarsened view.
+    config = write_config(
+        tmp_path,
+        study="simulate",
+        step={"h": 0.0625},
+        noise={"seed": 3, "paths": 1, "base_steps": 32},
+    )
+    out = tmp_path / "out"
+    assert run(config, output_dir=out) == 0
+    rows = read_trajectory(out / "trajectory.csv")
+    paths = sv.generate(3, 1, 3, 32, horizon=(0.0, 1.0))
+    traj = sv.simulate_path(
+        sv.spherical_pendulum(), "stochastic_variational_euler",
+        sv.State(q=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0]), sv.coarsen(paths, 2),
+    )
+    assert [row[1:4] for row in rows] == traj.q.tolist()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import svpark as sv
-from svpark.exceptions import NameNotFound, NoConvergence
+from svpark.exceptions import ConditionViolated, NameNotFound, NoConvergence
 from svpark.noise import coarsen_array
 
 from conftest import random_states
@@ -56,7 +56,7 @@ def test_equilibrium_with_noise_keeps_momentum_tangent(pendulum):
 
 def test_stochastic_vprk_constraints_and_stages(pendulum):
     tab = sv.builtin_tableaux()["rattle_trapezoidal"]
-    quad = sv.StochasticQuadrature(nu=[0.5, 0.5], kappa=[0.0, 0.0])
+    quad = sv.StochasticQuadrature(nu=[0.5, 0.5])
     x = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.2, 0.0]))
     dW = np.array([0.03, 0.01, -0.04])
     res = sv.stochastic_vprk_step(pendulum, tab, quad, x, dW, 0.01)
@@ -161,13 +161,44 @@ def test_unknown_method_name(pendulum):
 
 def test_quadrature_validation(pendulum):
     tab = sv.builtin_tableaux()["rattle_trapezoidal"]
-    with pytest.raises(ValueError):
-        sv.StochasticQuadrature(nu=[1.0], kappa=[0.0, 0.0])
-    with pytest.raises(ValueError):
-        sv.StochasticQuadrature(nu=[1.0], kappa=[0.0], psi_source="levy_area")
+    x = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.zeros(3))
+    with pytest.raises(ConditionViolated):
+        sv.stochastic_vprk_step(
+            pendulum, tab, sv.StochasticQuadrature(nu=[1.0]), x, np.zeros(3), 0.01
+        )
+    # Neither a nu of the wrong length nor a non-zero kappa is realized by
+    # the stochastic RK step, so make_stepper rejects both before any step.
+    for quad in ({"nu": [1.0]}, {"nu": [0.5, 0.5], "kappa": [0.1, 0.0]}):
+        with pytest.raises(ConditionViolated, match="not admissible: quadrature"):
+            sv.make_stepper(pendulum, {"method": "stochastic_vprk", "quad": quad})
     default = sv.default_quadrature(tab)
     assert np.allclose(default.nu, tab.b)
-    assert np.allclose(default.kappa, 0.0)
+
+
+def test_integrate_broadcasts_and_matches_single_path_runs(pendulum):
+    paths = sv.generate(8, 3, 3, 2**5, horizon=(0.0, 1.0))
+    steps = list(
+        sv.integrate(pendulum, "stochastic_variational_euler", X0, paths.increments,
+                     paths.h_base, 2**5)
+    )
+    assert len(steps) == 2**5
+    result, v = steps[-1]
+    assert result.state.q.shape == (3, 3) and v.shape == (3, 3)
+    traj = sv.simulate_path(
+        pendulum, "stochastic_variational_euler", X0, sv.coarsen(paths, 1), 2
+    )
+    assert np.array_equal(traj.q[-1], result.state.q[2])
+    assert np.array_equal(traj.p[-1], result.state.p[2])
+
+
+def test_simulate_path_vprk_records_flattened_multipliers(pendulum):
+    # _vprk_core returns stage multipliers of shape (s - 1, k) next to a
+    # last multiplier of shape (k,); the recorder flattens both.
+    paths = sv.generate(2, 1, 3, 2**4, horizon=(0.0, 1.0))
+    traj = sv.simulate_path(pendulum, "stochastic_vprk", X0, sv.coarsen(paths, 1))
+    assert len(traj.multipliers) == 2**4
+    assert traj.multipliers[0].shape == (2,)
+    assert np.max(traj.constraint) <= 1e-10 and np.max(traj.hidden) <= 1e-10
 
 
 def test_stochastic_vprk_strong_order_against_reference_scheme(pendulum):
@@ -179,21 +210,22 @@ def test_stochastic_vprk_strong_order_against_reference_scheme(pendulum):
     T = 0.5
     paths = sv.generate(42, M, 3, 2**11, horizon=(0.0, T))
     hs = [T * 2.0**-3, T * 2.0**-4, T * 2.0**-5]
-    from svpark.analysis import _ensemble_endpoints
+
+    def endpoints(method, increments, h):
+        *_, (result, _) = sv.integrate(
+            pendulum, method, x0, increments, h, increments.shape[-1]
+        )
+        return result.state.q, result.state.p
 
     base = paths.increments
-    q_ref, p_ref = _ensemble_endpoints(
-        pendulum, "euler_maruyama_ref", x0, base, paths.h_base, 2**11, None
-    )
+    q_ref, p_ref = endpoints("euler_maruyama_ref", base, paths.h_base)
     errors = []
     for h in hs:
         factor = int(round(h / paths.h_base))
-        coarse = coarsen_array(base, factor)
-        q_h, p_h = _ensemble_endpoints(
-            pendulum,
+        q_h, p_h = endpoints(
             {"method": "stochastic_vprk", "tableau": "rattle_trapezoidal",
              "quad": {"nu": [0.5, 0.5], "kappa": [0.0, 0.0]}},
-            x0, coarse, h, coarse.shape[-1], None,
+            coarsen_array(base, factor), h,
         )
         errors.append(
             np.sqrt(np.mean(np.sum((q_h - q_ref) ** 2 + (p_h - p_ref) ** 2, axis=-1)))
