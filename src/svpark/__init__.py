@@ -31,7 +31,6 @@ from .model import (
     energy,
     hidden_residual,
     legendre_velocity,
-    project_state,
     spherical_pendulum,
     validate_system,
     without_noise,
@@ -50,6 +49,7 @@ from .deterministic import (
     StepResult,
     euler_a_with_projection,
     euler_b_with_projection,
+    project_state,
     projection_step,
     rattle_step,
     variational_euler_a_step,
@@ -59,8 +59,6 @@ from .deterministic import (
 from .reduction import (
     ProjectionMatrices,
     ReducedDynamics,
-    constraint_gram,
-    constraint_projector,
     projection_matrices,
     reduced_drift_diffusion,
 )

@@ -24,7 +24,8 @@ from .exceptions import (
     RankDeficient,
     StatisticallyInconclusive,
 )
-from .model import State, legendre_velocity, project_state
+from .deterministic import project_state
+from .model import State, legendre_velocity
 from .noise import coarsen_array
 from .solver import DEFAULT_NEWTON
 from .stochastic import integrate, make_stepper

@@ -11,7 +11,7 @@ Config schema (JSON object)::
       "model":         {"name": "spherical_pendulum"},
       "integrator":    {"method": "stochastic_variational_euler",
                         "tableau": "rattle_trapezoidal",   # vprk methods
-                        "quad": {"nu": [...]}},            # kappa: zeros only
+                        "quad": {"nu": [...]}},            # stochastic_vprk
       "initial_state": {"q": [...], "p": [...]},
       "horizon":       {"start": 0.0, "end": 1.0},
       "step":          {"h": 0.01}                          # simulate/drift/symplecticity
@@ -42,6 +42,7 @@ from .analysis import (
     write_strong_csv,
     write_weak_csv,
 )
+from .deterministic import project_state
 from .exceptions import ConfigInvalid, NameNotFound, SvparkError
 from .model import (
     State,
@@ -49,7 +50,6 @@ from .model import (
     constraint_residual,
     energy,
     hidden_residual,
-    project_state,
 )
 from .noise import coarsen, generate
 from .solver import NewtonConfig
@@ -270,10 +270,9 @@ def run(config_path, output_dir=None) -> int:
         h = float(resolved["step"]["h"])
         dW = None
         if uses_noise:
-            noise = resolved.get("noise") or {}
-            seed = noise.get("seed", 0)
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-            dW = gen.standard_normal(system.num_noise) * np.sqrt(h)
+            # One step of path 0: the per-path stream every study draws from.
+            seed = (resolved.get("noise") or {}).get("seed", 0)
+            dW = generate(seed, 1, system.num_noise, 1, horizon=(0.0, h)).increments[0, :, 0]
         residual = symplecticity_check(system, method, x0, h, dW=dW, config=newton)
         (out / "symplecticity.csv").write_text(
             "h,residual\n" + f"{_fmt(h)},{_fmt(residual)}\n"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import State, legendre_velocity
 from .solver import DEFAULT_NEWTON, newton_solve, schur_multiplier_solve
-from .exceptions import NoConvergence
+from .exceptions import NoConvergence, RankDeficient
 from .tableau import ButcherTableau, check_admissibility
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "StepResult",
     "EulerIntermediate",
     "projection_step",
+    "project_state",
     "variational_euler_a_step",
     "variational_euler_b_step",
     "euler_a_with_projection",
@@ -121,6 +122,37 @@ def projection_step(system, q, p_hat, h, config=None) -> State:
     q = np.asarray(q, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     p, _, _, _ = _project(system, q, p_hat, h, config)
+    return State(q=q, p=p)
+
+
+_RETRACT_TOL = 1e-13
+_RETRACT_MAX_ITER = 50
+
+
+def project_state(system, q, p, config=None) -> State:
+    """Retract an ambient point onto the phase-space constraint set.
+
+    The position is moved onto g = 0 by Gauss-Newton along constraint
+    gradients; the momentum then receives the constraint force dg_dq^T mu
+    of the hidden-constraint projection.  Points already on the constraint
+    set are fixed (to solver tolerance), which is the property the
+    symplecticity check and state validation rely on.
+    """
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
+    for _ in range(_RETRACT_MAX_ITER):
+        g = system.constraint(q)
+        if np.max(np.abs(g)) <= _RETRACT_TOL:
+            break
+        G = system.dg_dq(q)
+        try:
+            w = np.linalg.solve(G @ _gt(G), g[..., None])[..., 0]
+        except np.linalg.LinAlgError as err:
+            raise RankDeficient(f"constraint gradients degenerate: {err}") from err
+        q = q - _apply(_gt(G), w)
+    else:
+        raise RankDeficient("position projection did not converge")
+    p, _, _, _ = _project(system, q, p, 1.0, config)
     return State(q=q, p=p)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DerivativeMismatch, RankDeficient
+from .exceptions import DerivativeMismatch
 from .solver import DEFAULT_NEWTON, newton_solve
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "energy",
     "constraint_residual",
     "hidden_residual",
-    "project_state",
     "noise_gradients",
 ]
 
@@ -160,7 +159,7 @@ def noise_gradients(system, q):
 
 
 # ---------------------------------------------------------------------------
-# Legendre transform, energy and manifold utilities
+# Legendre transform, energy and constraint residuals
 
 
 def legendre_velocity(system, q, p, config=None, v0=None):
@@ -203,45 +202,6 @@ def hidden_residual(system, q, p=None, v=None, config=None):
         v = legendre_velocity(system, q, p, config)
     Gv = (system.dg_dq(q) @ v[..., None])[..., 0]
     return np.max(np.abs(Gv), axis=-1)
-
-
-def project_state(system, q, p, tol=1e-13, max_iter=50, config=None) -> State:
-    """Retract an ambient point onto the phase-space constraint set.
-
-    The position is moved onto g = 0 by Gauss-Newton along constraint
-    gradients; the momentum then receives a constraint-force correction
-    p + dg_dq^T mu chosen so the hidden velocity constraint holds.  Points
-    already on the constraint set are fixed (to solver tolerance), which is
-    the property the symplecticity check and state validation rely on.
-    """
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
-    for _ in range(max_iter):
-        g = system.constraint(q)
-        if np.max(np.abs(g)) <= tol:
-            break
-        G = system.dg_dq(q)
-        gram = G @ np.swapaxes(G, -1, -2)
-        try:
-            w = np.linalg.solve(gram, g[..., None])[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise RankDeficient(f"constraint gradients degenerate: {err}") from err
-        q = q - (np.swapaxes(G, -1, -2) @ w[..., None])[..., 0]
-    else:
-        raise RankDeficient("position projection did not converge")
-
-    cfg = config or DEFAULT_NEWTON
-    G = system.dg_dq(q)
-    GT = np.swapaxes(G, -1, -2)
-    k = G.shape[-2]
-
-    def residual(mu):
-        v = legendre_velocity(system, q, p + (GT @ mu[..., None])[..., 0], cfg)
-        return (G @ v[..., None])[..., 0]
-
-    mu0 = np.zeros(q.shape[:-1] + (k,))
-    mu = newton_solve(residual, mu0, cfg).x
-    return State(q=q, p=p + (GT @ mu[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import RankDeficient
 from .model import noise_gradients
+from .solver import _schur_complement
 
 __all__ = [
     "ProjectionMatrices",
-    "constraint_gram",
-    "constraint_projector",
     "projection_matrices",
     "reduced_drift_diffusion",
     "ReducedDynamics",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -50,38 +46,23 @@ class ReducedDynamics:
 
 
 def _gram_pieces(system, q, v):
-    """G^T, the Gram matrix and the projector B, from one solve with M."""
+    """G^T, the Gram matrix and the projector B, from one solve with M.
+
+    Raises RankDeficient when M or the Gram matrix is singular.
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     G = system.dg_dq(q)
-    M = system.d2L_dv2(q, v)
+    MinvGT, _, gram = _schur_complement(system.d2L_dv2(q, v), G)
     GT = np.swapaxes(G, -1, -2)
-    try:
-        MinvGT = np.linalg.solve(M, GT)
-    except np.linalg.LinAlgError as err:
-        raise RankDeficient(f"velocity Hessian not invertible: {err}") from err
-    gram = G @ MinvGT
-    cond = np.linalg.cond(gram)
-    if not np.all(np.isfinite(cond)) or np.max(cond) >= _COND_LIMIT:
-        raise RankDeficient(
-            f"constraint Gram matrix singular (cond = {np.max(cond):.3e}); "
-            "constraint Jacobian is rank deficient"
-        )
     B = GT @ np.linalg.solve(gram, np.swapaxes(MinvGT, -1, -2))
     return GT, gram, B
 
 
-def constraint_gram(system, q, v):
-    """G M^{-1} G^T, shape (..., k, k).  Raises RankDeficient when singular."""
-    return _gram_pieces(system, q, v)[1]
-
-
-def constraint_projector(system, q, v):
-    """G^T Gram^{-1} G M^{-1}, the idempotent projector onto constraint forces."""
-    return _gram_pieces(system, q, v)[2]
-
-
 def projection_matrices(system, q, v) -> ProjectionMatrices:
+    """The Gram matrix G M^{-1} G^T (..., k, k) and the idempotent projector
+    G^T Gram^{-1} G M^{-1} (..., n, n) onto constraint forces.  Raises
+    RankDeficient when the Gram matrix is singular."""
     _, gram, B = _gram_pieces(system, q, v)
     return ProjectionMatrices(gram=gram, projector=B)
 

@@ -16,15 +16,16 @@ from .exceptions import NoConvergence, RankDeficient, SingularJacobian
 __all__ = ["NewtonConfig", "NewtonResult", "newton_solve", "schur_multiplier_solve"]
 
 _MAX_HALVINGS = 30
+_FD_JACOBIAN_EPS = 1e-7
+_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping and differencing parameters for the Newton iteration."""
+    """Stopping parameters for the Newton iteration."""
 
     tol_residual: float = 1e-12
     max_iter: int = 50
-    fd_jacobian_eps: float = 1e-7
 
     def __post_init__(self):
         if not self.tol_residual > 0:
@@ -47,11 +48,11 @@ def _inf_norm(r):
     return np.max(np.abs(r), axis=-1)
 
 
-def _fd_jacobian(F, x, Fx, eps):
+def _fd_jacobian(F, x, Fx):
     d = x.shape[-1]
     J = np.empty(x.shape + (d,))
     for j in range(d):
-        step = eps * (1.0 + np.abs(x[..., j]))
+        step = _FD_JACOBIAN_EPS * (1.0 + np.abs(x[..., j]))
         xp = x.copy()
         xp[..., j] += step
         J[..., :, j] = (F(xp) - Fx) / step[..., None]
@@ -99,9 +100,7 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
         if np.all(converged):
             iterations -= 1
             break
-        J = jacobian(x) if jacobian is not None else _fd_jacobian(
-            F, x, Fx, cfg.fd_jacobian_eps
-        )
+        J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx)
         delta = _solve_linear(J, Fx)
         alpha = np.ones(norm.shape)
         accepted = converged.copy()
@@ -139,41 +138,52 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
     return NewtonResult(x=x, iterations=iterations, residual=float(np.max(norm)))
 
 
-def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint, cond_limit=1e12):
+def _schur_complement(M, G, extra=None):
+    """Solve M against G^T and the columns of ``extra`` (..., n, r), and form
+    S = G M^{-1} G^T.  Returns (M^{-1} G^T, M^{-1} extra or None, S).
+
+    The one singularity rule for S, raising RankDeficient: a non-finite
+    entry; for k = 1 a zero pivot (a finite non-zero 1x1 matrix has
+    condition number one, so no SVD runs); for k >= 2 cond(S) >= 1e12.
+    """
+    GT = np.swapaxes(G, -1, -2)
+    k = GT.shape[-1]
+    rhs = GT if extra is None else np.concatenate([GT, extra], axis=-1)
+    try:
+        solved = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficient(f"primal block not invertible: {err}") from err
+    MinvGT = solved[..., :k]
+    S = G @ MinvGT
+    if not np.all(np.isfinite(S)):
+        raise RankDeficient("Schur complement G M^-1 G^T is not finite")
+    if k == 1:
+        if np.any(S == 0.0):
+            raise RankDeficient("Schur complement numerically singular (zero pivot)")
+    else:
+        cond = np.linalg.cond(S)
+        if not np.all(np.isfinite(cond)) or np.max(cond) >= _COND_LIMIT:
+            raise RankDeficient(
+                f"Schur complement numerically singular (cond = {np.max(cond):.3e})"
+            )
+    return MinvGT, None if extra is None else solved[..., k:], S
+
+
+def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     """Solve the saddle system M x + G^T lam = rhs_primal, G x = rhs_constraint.
 
     M is (..., n, n) invertible, G is (..., k, n) with full row rank.  The
     multiplier is eliminated through the Schur complement S = G M^{-1} G^T;
-    raises RankDeficient when S is numerically singular (condition number at
-    or above ``cond_limit``).  Returns (x, lam) with shapes (..., n) and
+    raises RankDeficient when S is numerically singular (see
+    ``_schur_complement``).  Returns (x, lam) with shapes (..., n) and
     (..., k).
     """
     M = np.asarray(M, dtype=float)
     G = np.asarray(G, dtype=float)
     rp = np.asarray(rhs_primal, dtype=float)
     rc = np.asarray(rhs_constraint, dtype=float)
-    try:
-        stacked = np.linalg.solve(
-            M, np.concatenate([np.swapaxes(G, -1, -2), rp[..., None]], axis=-1)
-        )
-    except np.linalg.LinAlgError as err:
-        raise RankDeficient(f"primal block not invertible: {err}") from err
-    MinvGT = stacked[..., :-1]
-    Minv_rp = stacked[..., -1]
-    S = G @ MinvGT
-    if S.shape[-1] == 1:
-        # A 1x1 Schur complement has condition number one; only an exact or
-        # non-finite zero is degenerate.
-        s = S[..., 0, 0]
-        bad = ~np.isfinite(s) | (s == 0.0)
-        if np.any(bad):
-            raise RankDeficient("Schur complement numerically singular (zero pivot)")
-    else:
-        cond = np.linalg.cond(S)
-        if not np.all(np.isfinite(cond)) or np.max(cond) >= cond_limit:
-            raise RankDeficient(
-                f"Schur complement numerically singular (cond = {np.max(cond):.3e})"
-            )
+    MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
+    Minv_rp = Minv_rp[..., 0]
     resid = (G @ Minv_rp[..., None])[..., 0] - rc
     lam = np.linalg.solve(S, resid[..., None])[..., 0]
     x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]

@@ -21,7 +21,7 @@ from .deterministic import (
     euler_b_with_projection,
     rattle_step,
 )
-from .exceptions import ConditionViolated, NameNotFound
+from .exceptions import ConditionViolated, ConfigInvalid, NameNotFound
 from .model import (
     State,
     energy,
@@ -179,6 +179,8 @@ _METHODS = {
         stochastic_variational_euler_step(system, x, dW, h, cfg, v=v, warm=warm)),
     "euler_maruyama_ref": (True, _em_step),
 }
+# The keys of a dict method spec, besides "method", that each method reads.
+_SPEC_KEYS = {"vprk": {"tableau"}, "stochastic_vprk": {"tableau", "quad"}}
 
 
 def make_stepper(system, method, config=None) -> Stepper:
@@ -187,20 +189,29 @@ def make_stepper(system, method, config=None) -> Stepper:
     ``method`` is either a name or a dict {"method": name, "tableau": ...,
     "quad": {"nu": [...]}}.  Known names: rattle, vprk, euler_a, euler_b,
     stochastic_variational_euler, stochastic_vprk, euler_maruyama_ref.
-    Raises NameNotFound for an unknown name and ConditionViolated for an
-    inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
+    ``tableau`` is read by the two vprk methods and ``quad`` by
+    stochastic_vprk only.  Raises NameNotFound for an unknown name,
+    ConfigInvalid for a key the method does not read, and ConditionViolated
+    for an inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
     ``quad.kappa`` (accepted only as all zeros, so old manifests replay).
     """
     spec = {"method": method} if isinstance(method, str) else method
     name = spec["method"]
     if name not in _METHODS:
         raise NameNotFound(f"unknown integrator {name!r}")
+    quad = spec.get("quad")
+    unread = set(spec) - {"method"} - _SPEC_KEYS.get(name, set())
+    if quad is not None and "quad" not in unread:
+        if not isinstance(quad, dict) or "nu" not in quad:
+            raise ConfigInvalid("integrator.quad must be an object with 'nu'")
+        unread |= {f"quad.{key}" for key in set(quad) - {"nu", "kappa"}}
+    if unread:
+        raise ConfigInvalid(f"integrator keys not read by {name}: {sorted(unread)}")
     uses_noise, step_fn = _METHODS[name]
     cfg = config or DEFAULT_NEWTON
     rk = None
-    if name in ("vprk", "stochastic_vprk"):
+    if name in _SPEC_KEYS:
         tableau = tableau_from_config(spec.get("tableau", "rattle_trapezoidal"))
-        quad = spec.get("quad")
         if quad is not None:
             kappa = np.asarray(quad.get("kappa", 0.0), dtype=float)
             if np.any(kappa != 0.0):

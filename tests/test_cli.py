@@ -256,3 +256,49 @@ def test_simulate_coarsens_finer_noise(tmp_path):
         sv.State(q=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0]), sv.coarsen(paths, 2),
     )
     assert [row[1:4] for row in rows] == traj.q.tolist()
+
+
+@pytest.mark.parametrize(
+    "integrator, code",
+    [
+        ({"method": "stochastic_variational_euler", "tableau": "euler_a",
+          "quad": {"nu": [7.0]}}, 2),
+        ({"method": "vprk", "quad": {"nu": [0.9, 0.1]}}, 2),
+        ({"method": "vprk", "tablaeu": "euler_a"}, 2),
+        ({"method": "stochastic_vprk", "quad": {"nu": [0.5, 0.5], "kapa": [0.0]}}, 2),
+        ({"method": "stochastic_vprk", "quad": {"kappa": [0.0, 0.0]}}, 2),
+        ({"method": "stochastic_vprk", "tableau": "rattle_trapezoidal"}, 0),
+    ],
+)
+def test_integrator_keys_the_method_does_not_read_are_rejected(
+    tmp_path, capsys, integrator, code
+):
+    config = write_config(
+        tmp_path,
+        study="simulate",
+        integrator=integrator,
+        step={"h": 0.0625},
+        noise={"seed": 3, "paths": 1, "base_steps": 16},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == code
+    assert (out / "trajectory.csv").exists() == (code == 0)
+    if code:
+        assert "invalid config: integrator" in capsys.readouterr().err
+
+
+def test_stochastic_symplecticity_run_replays_from_manifest(tmp_path):
+    config = write_config(
+        tmp_path,
+        study="symplecticity",
+        step={"h": 0.001},
+        noise={"seed": 4},
+    )
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(config, output_dir=out1) == 0
+    rows = (out1 / "symplecticity.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[1]) <= 1e-5
+    assert run(out1 / "manifest.json", output_dir=out2) == 0
+    assert (out1 / "symplecticity.csv").read_bytes() == (
+        out2 / "symplecticity.csv"
+    ).read_bytes()

@@ -107,13 +107,28 @@ def test_project_state_fixes_points_already_on_manifold(pendulum):
     assert np.max(np.abs(state.p - p)) <= 1e-12
 
 
+def test_project_state_with_configuration_dependent_mass():
+    system = variable_mass_sphere()
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        q_raw = 2.0 * rng.standard_normal(3)
+        if np.linalg.norm(q_raw) < 0.3:
+            continue
+        state = sv.project_state(system, q_raw, rng.standard_normal(3))
+        assert sv.constraint_residual(system, state.q) <= 1e-12
+        assert sv.hidden_residual(system, state.q, p=state.p) <= 1e-11
+        again = sv.project_state(system, state.q, state.p)
+        assert np.max(np.abs(again.q - state.q)) <= 1e-14
+        assert np.max(np.abs(again.p - state.p)) <= 1e-12
+
+
 def test_gram_matrix_constant_on_sphere(pendulum):
     # The kinetic metric is the identity and the constraint gradient has
     # norm 2 everywhere on the sphere, so the Gram matrix is the constant 4.
     rng = np.random.default_rng(29)
     for state in random_states(pendulum, 25, rng):
         v = rng.standard_normal(3)
-        P = sv.constraint_gram(pendulum, state.q, v)
+        P = sv.projection_matrices(pendulum, state.q, v).gram
         assert np.allclose(P, [[4.0]], atol=1e-12)
 
 

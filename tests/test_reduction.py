@@ -12,20 +12,20 @@ from conftest import random_states
 def test_pendulum_gram_is_four(pendulum):
     rng = np.random.default_rng(1)
     for state in random_states(pendulum, 20, rng):
-        P = sv.constraint_gram(pendulum, state.q, rng.standard_normal(3))
+        P = sv.projection_matrices(pendulum, state.q, rng.standard_normal(3)).gram
         assert np.allclose(P, [[4.0]], atol=1e-12)
 
 
 def test_pendulum_projector_is_outer_product(pendulum):
     rng = np.random.default_rng(2)
     for state in random_states(pendulum, 20, rng):
-        B = sv.constraint_projector(pendulum, state.q, rng.standard_normal(3))
+        B = sv.projection_matrices(pendulum, state.q, rng.standard_normal(3)).projector
         assert np.allclose(B, np.outer(state.q, state.q), atol=1e-12)
 
 
 def test_projector_annihilates_tangent_vectors(pendulum):
     q = np.array([1.0, 0.0, 0.0])
-    B = sv.constraint_projector(pendulum, q, np.zeros(3))
+    B = sv.projection_matrices(pendulum, q, np.zeros(3)).projector
     tangent = np.array([0.0, 0.7, -0.3])
     assert np.max(np.abs(B @ tangent)) <= 1e-13
 
@@ -49,13 +49,21 @@ def test_gram_matches_definition_for_linear_constraint():
         d2g_dq2_vv=lambda q, v: np.zeros(q.shape[:-1] + (1,)),
     )
     q = np.array([1.0, -1.0, 0.4])
-    P = sv.constraint_gram(system, q, np.zeros(3))
+    P = sv.projection_matrices(system, q, np.zeros(3)).gram
     assert np.allclose(P, Gmat @ np.diag(1.0 / Mdiag) @ Gmat.T, atol=1e-14)
 
 
 def test_rank_deficient_gradient_detected(pendulum):
     with pytest.raises(RankDeficient):
-        sv.constraint_gram(pendulum, np.zeros(3), np.zeros(3))
+        sv.projection_matrices(pendulum, np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [sv.projection_matrices, sv.reduced_drift_diffusion])
+def test_non_finite_state_is_rank_deficient(pendulum, fn, entry):
+    # A non-finite Gram matrix is judged singular before any SVD could fail.
+    with pytest.raises(RankDeficient):
+        fn(pendulum, np.array([1.0, entry, 0.0]), np.zeros(3))
 
 
 def test_projector_identities_random_sweep(pendulum):

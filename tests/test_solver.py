@@ -143,3 +143,11 @@ def test_newton_config_validation():
         sv.NewtonConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         sv.NewtonConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_schur_non_finite_raises_rank_deficient(k):
+    G = np.eye(3)[:k].copy()
+    G[0, 1] = np.nan
+    with pytest.raises(RankDeficient):
+        sv.schur_multiplier_solve(np.eye(3), G, np.zeros(3), np.zeros(k))
