@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _fmt,
+    _write_csv,
     drift_metrics,
     strong_error_study,
     symplecticity_check,
@@ -165,22 +166,10 @@ def _noise_block(resolved, num_channels, T0, T1):
 
 
 def _write_trajectory_csv(path, traj, n):
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + ["constraint", "hidden", "energy"]
-    )
-    lines = [",".join(header)]
-    for i in range(len(traj.times)):
-        row = (
-            [traj.times[i]]
-            + list(traj.q[i])
-            + list(traj.p[i])
-            + [traj.constraint[i], traj.hidden[i], traj.energy[i]]
-        )
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
+    header = ",".join(["t", *coords, "constraint", "hidden", "energy"])
+    rows = zip(traj.times, *traj.q.T, *traj.p.T, traj.constraint, traj.hidden, traj.energy)
+    _write_csv(path, header, rows)
 
 
 def run(config_path, output_dir=None) -> int:
@@ -274,9 +263,7 @@ def run(config_path, output_dir=None) -> int:
             seed = (resolved.get("noise") or {}).get("seed", 0)
             dW = generate(seed, 1, system.num_noise, 1, horizon=(0.0, h)).increments[0, :, 0]
         residual = symplecticity_check(system, method, x0, h, dW=dW, config=newton)
-        (out / "symplecticity.csv").write_text(
-            "h,residual\n" + f"{_fmt(h)},{_fmt(residual)}\n"
-        )
+        _write_csv(out / "symplecticity.csv", "h,residual", [(h, residual)])
         summary.append(f"symplecticity residual: {residual:.6e}")
 
     manifest = dict(resolved)

@@ -45,7 +45,24 @@ class NewtonResult:
 
 
 def _inf_norm(r):
-    return np.max(np.abs(r), axis=-1)
+    a = np.abs(r)
+    if a.size < 32 * a.shape[-1]:
+        return a.max(axis=-1)
+    # Column by column: numpy reduces a short last axis one row at a time,
+    # which for many rows costs far more than the comparisons.
+    norm = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        norm = np.maximum(norm, a[..., j])
+    return norm
+
+
+def _apply(mat, vec):
+    """Batched matrix-vector product mat @ vec."""
+    if mat.shape[-1] == 1:
+        # One column: a plain product, with + 0.0 turning a -0.0 product
+        # into the +0.0 that matmul returns; far cheaper for large batches.
+        return mat[..., 0] * vec + 0.0
+    return (mat @ vec[..., None])[..., 0]
 
 
 def _fd_jacobian(F, x, Fx):
@@ -64,7 +81,7 @@ def _solve_linear(J, r):
         delta = np.linalg.solve(J, r[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise SingularJacobian(str(err)) from err
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise SingularJacobian("linear solve produced non-finite update")
     return delta
 
@@ -97,29 +114,23 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
     converged = norm <= cfg.tol_residual
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        if np.all(converged):
+        if converged.all():
             iterations -= 1
             break
         J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx)
         delta = _solve_linear(J, Fx)
         alpha = np.ones(norm.shape)
-        accepted = converged.copy()
-        trial_x = x.copy()
-        trial_F = Fx.copy()
+        accepted = converged
+        trial_x, trial_F = x, Fx
         for _ in range(_MAX_HALVINGS + 1):
             candidate = x - alpha[..., None] * delta
             Fc = np.asarray(F(candidate), dtype=float)
             cnorm = _inf_norm(Fc)
             better = ~accepted & ((cnorm < norm) | (cnorm <= cfg.tol_residual))
-            if better.ndim == 0:
-                if better:
-                    trial_x, trial_F = candidate, Fc
-                    accepted = np.asarray(True)
-            else:
-                trial_x[better] = candidate[better]
-                trial_F[better] = Fc[better]
-                accepted = accepted | better
-            if np.all(accepted):
+            trial_x = np.where(better[..., None], candidate, trial_x)
+            trial_F = np.where(better[..., None], Fc, trial_F)
+            accepted = accepted | better
+            if accepted.all():
                 break
             alpha = np.where(accepted, alpha, alpha / 2.0)
         if not np.all(accepted):
@@ -155,10 +166,10 @@ def _schur_complement(M, G, extra=None):
         raise RankDeficient(f"primal block not invertible: {err}") from err
     MinvGT = solved[..., :k]
     S = G @ MinvGT
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise RankDeficient("Schur complement G M^-1 G^T is not finite")
     if k == 1:
-        if np.any(S == 0.0):
+        if (S == 0.0).any():
             raise RankDeficient("Schur complement numerically singular (zero pivot)")
     else:
         cond = np.linalg.cond(S)
@@ -184,7 +195,11 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     rc = np.asarray(rhs_constraint, dtype=float)
     MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
     Minv_rp = Minv_rp[..., 0]
-    resid = (G @ Minv_rp[..., None])[..., 0] - rc
-    lam = np.linalg.solve(S, resid[..., None])[..., 0]
-    x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]
+    resid = _apply(G, Minv_rp) - rc
+    if S.shape[-1] == 1:
+        # LAPACK's 1x1 solve is this division, without its per-call cost.
+        lam = resid / S[..., 0]
+    else:
+        lam = np.linalg.solve(S, resid[..., None])[..., 0]
+    x = Minv_rp - _apply(MinvGT, lam)
     return x, lam

@@ -24,9 +24,9 @@ from .deterministic import (
 from .exceptions import ConditionViolated, ConfigInvalid, NameNotFound
 from .model import (
     State,
+    _noise_force,
     energy,
     legendre_velocity,
-    noise_gradients,
 )
 from .reduction import reduced_drift_diffusion
 from .solver import DEFAULT_NEWTON
@@ -98,8 +98,7 @@ def stochastic_variational_euler_step(
     if dW is None or system.num_noise == 0:
         kick = None
     else:
-        dW = np.asarray(dW, dtype=float)
-        kick = np.einsum("...m,...mn->...n", dW, noise_gradients(system, q))
+        kick = _noise_force(system, q, np.asarray(dW, dtype=float))
     intermediate = _euler_b_core(system, x, h, kick=kick, config=config, v=v, warm=warm)
     return _projected_step(system, intermediate, h, config)
 
