@@ -414,20 +414,29 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
-    """A header line, then one line per row of floats at repr precision."""
-    lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def write_strong_csv(path, result: StrongErrorResult):
     """Columns: h, error_q, error_p, stderr (stderr of the pooled error)."""
-    rows = zip(result.position.step_sizes, result.position.errors,
-               result.momentum.errors, result.pooled_stderr)
-    _write_csv(path, "h,error_q,error_p,stderr", rows)
+    lines = ["h,error_q,error_p,stderr"]
+    for i, h in enumerate(result.position.step_sizes):
+        lines.append(
+            ",".join(
+                _fmt(x)
+                for x in (
+                    h,
+                    result.position.errors[i],
+                    result.momentum.errors[i],
+                    result.pooled_stderr[i],
+                )
+            )
+        )
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_weak_csv(path, result: WeakErrorResult):
     """Columns: h, weak_error, mc_stderr."""
-    rows = zip(result.report.step_sizes, result.report.errors, result.mc_stderr)
-    _write_csv(path, "h,weak_error,mc_stderr", rows)
+    lines = ["h,weak_error,mc_stderr"]
+    for i, h in enumerate(result.report.step_sizes):
+        lines.append(
+            ",".join(_fmt(x) for x in (h, result.report.errors[i], result.mc_stderr[i]))
+        )
+    path.write_text("\n".join(lines) + "\n")

@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _fmt,
-    _write_csv,
     drift_metrics,
     strong_error_study,
     symplecticity_check,
@@ -106,6 +105,8 @@ def _resolve(config) -> dict:
     for key in ("integrator", "initial_state", "step", "study"):
         if key not in resolved:
             _fail(f"config is missing required key {key!r}")
+    if not isinstance(resolved["integrator"], dict):
+        _fail("integrator must be an object with a 'method' name")
     if resolved["study"] not in _STUDIES:
         _fail(f"study must be one of {_STUDIES}, got {resolved['study']!r}")
     if resolved["study"] == "weak_order":
@@ -166,10 +167,22 @@ def _noise_block(resolved, num_channels, T0, T1):
 
 
 def _write_trajectory_csv(path, traj, n):
-    coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-    header = ",".join(["t", *coords, "constraint", "hidden", "energy"])
-    rows = zip(traj.times, *traj.q.T, *traj.p.T, traj.constraint, traj.hidden, traj.energy)
-    _write_csv(path, header, rows)
+    header = (
+        ["t"]
+        + [f"q{i + 1}" for i in range(n)]
+        + [f"p{i + 1}" for i in range(n)]
+        + ["constraint", "hidden", "energy"]
+    )
+    lines = [",".join(header)]
+    for i in range(len(traj.times)):
+        row = (
+            [traj.times[i]]
+            + list(traj.q[i])
+            + list(traj.p[i])
+            + [traj.constraint[i], traj.hidden[i], traj.energy[i]]
+        )
+        lines.append(",".join(_fmt(x) for x in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run(config_path, output_dir=None) -> int:
@@ -189,11 +202,10 @@ def run(config_path, output_dir=None) -> int:
     t1 = float(resolved["horizon"]["end"])
     study = resolved["study"]
     method = resolved["integrator"]
+    uses_noise = make_stepper(system, method, newton).uses_noise and system.num_noise > 0
     out = Path(resolved["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     summary = [f"svpark {__version__}", f"study: {study}", f"method: {method['method']}"]
-
-    uses_noise = make_stepper(system, method, newton).uses_noise and system.num_noise > 0
 
     if study in ("simulate", "drift"):
         h = float(resolved["step"]["h"])
@@ -263,7 +275,9 @@ def run(config_path, output_dir=None) -> int:
             seed = (resolved.get("noise") or {}).get("seed", 0)
             dW = generate(seed, 1, system.num_noise, 1, horizon=(0.0, h)).increments[0, :, 0]
         residual = symplecticity_check(system, method, x0, h, dW=dW, config=newton)
-        _write_csv(out / "symplecticity.csv", "h,residual", [(h, residual)])
+        (out / "symplecticity.csv").write_text(
+            "h,residual\n" + f"{_fmt(h)},{_fmt(residual)}\n"
+        )
         summary.append(f"symplecticity residual: {residual:.6e}")
 
     manifest = dict(resolved)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, _noise_force, legendre_velocity
-from .solver import DEFAULT_NEWTON, _apply, newton_solve, schur_multiplier_solve
+from .model import State, legendre_velocity
+from .solver import DEFAULT_NEWTON, newton_solve, schur_multiplier_solve
 from .exceptions import NoConvergence, RankDeficient
 from .tableau import ButcherTableau, check_admissibility
 
@@ -75,9 +75,8 @@ def _gt(mat):
     return np.swapaxes(mat, -1, -2)
 
 
-def _pair(a, b):
-    """np.stack([a, b], axis=-2) for equal shapes, at half its cost."""
-    return np.concatenate([a[..., None, :], b[..., None, :]], axis=-2)
+def _apply(mat, vec):
+    return (mat @ vec[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
         p_cur = p_hat + scale * _apply(GT, mu)
         r1 = system.dL_dv(q, v) - p_cur
         r2 = _apply(G, v)
-        res = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res <= cfg.tol_residual:
             return p_cur, v, mu, iterations
         M = system.d2L_dv2(q, v)
@@ -356,10 +355,10 @@ def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResu
         system, q_next, p_hat, 0.5 * h, cfg, v0=V2
     )
     stages = InternalStages(
-        Q=_pair(q, q_next),
-        V=_pair(V1, V2),
-        P=_pair(P1, system.dL_dv(q_next, V2)),
-        Lambda=_pair(lam1, lam2),
+        Q=np.stack([q, q_next], axis=-2),
+        V=np.stack([V1, V2], axis=-2),
+        P=np.stack([P1, system.dL_dv(q_next, V2)], axis=-2),
+        Lambda=np.stack([lam1, lam2], axis=-2),
     )
     return StepResult(
         state=State(q=q_next, p=p_next),
@@ -405,7 +404,8 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         v = legendre_velocity(system, q, p, cfg)
 
     def stage_sigma(Q):
-        return _noise_force(system, Q, dW[..., None, :])
+        grads = np.stack([dg(Q) for dg in system.dgamma_dq], axis=-2)
+        return np.einsum("...m,...smn->...sn", dW, grads)
 
     def assemble(u):
         V = u[..., : s * n].reshape(batch + (s, n))

@@ -93,26 +93,19 @@ def spherical_pendulum() -> MechanicalSystem:
         return 0.5 * np.sum(v * v, axis=-1) - q @ e3
 
     def dL_dq(q, v):
-        force = np.empty(q.shape)
-        force[...] = -e3
-        return force
+        return np.broadcast_to(-e3, q.shape).copy()
 
     def dL_dv(q, v):
         return np.array(v, dtype=float, copy=True)
 
     def d2L_dv2(q, v):
-        M = np.zeros(q.shape + (3,))
-        M[..., 0, 0] = M[..., 1, 1] = M[..., 2, 2] = 1.0
-        return M
+        return np.broadcast_to(np.eye(3), q.shape + (3,)).copy()
 
     def d2L_dqdv(q, v):
         return np.zeros(q.shape + (3,))
 
     def constraint(q):
-        # The sum np.sum forms, left to right, without its per-row
-        # reduction overhead on large batches.
-        x, y, z = q[..., 0], q[..., 1], q[..., 2]
-        return (x * x + y * y + z * z - 1.0)[..., None]
+        return (np.sum(q * q, axis=-1) - 1.0)[..., None]
 
     def dg_dq(q):
         return 2.0 * q[..., None, :]
@@ -163,18 +156,6 @@ def noise_gradients(system, q):
     if system.num_noise == 0:
         return np.zeros(q.shape[:-1] + (0, q.shape[-1]))
     return np.stack([dg(q) for dg in system.dgamma_dq], axis=-2)
-
-
-def _noise_force(system, q, dW):
-    """sum_m dW[..., m] * dgamma_m/dq(q), dW broadcasting against q.
-
-    Added channel by channel from zero: the same sums einsum forms over the
-    stacked gradients, without stacking them, at a fraction of the cost.
-    """
-    force = 0.0
-    for m, dgamma in enumerate(system.dgamma_dq):
-        force = force + dW[..., m, None] * dgamma(q)
-    return force
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +223,26 @@ class ValidationReport:
         return {k: v for k, v in self.max_errors.items() if v > self.tolerance}
 
 
-def _central(f, x, eps):
-    """Central-difference Jacobian of f at x; f maps (..., n) to (...,) or (..., r)."""
+def _central_q(f, q, v, eps):
+    """Central-difference Jacobian of f(q[, v]) in q; f maps to (...,) or (..., r)."""
+    n = q.shape[-1]
     cols = []
-    for j in range(x.shape[-1]):
-        dx = np.zeros_like(x)
-        dx[..., j] = eps
-        cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2 * eps))
+    for j in range(n):
+        dq = np.zeros_like(q)
+        dq[..., j] = eps
+        hi = f(q + dq, v) if v is not None else f(q + dq)
+        lo = f(q - dq, v) if v is not None else f(q - dq)
+        cols.append((np.asarray(hi) - np.asarray(lo)) / (2 * eps))
+    return np.stack(cols, axis=-1)
+
+
+def _central_v(f, q, v, eps):
+    n = v.shape[-1]
+    cols = []
+    for j in range(n):
+        dv = np.zeros_like(v)
+        dv[..., j] = eps
+        cols.append((np.asarray(f(q, v + dv)) - np.asarray(f(q, v - dv))) / (2 * eps))
     return np.stack(cols, axis=-1)
 
 
@@ -279,13 +273,12 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
         v = np.asarray(v, dtype=float)
         if np.max(np.abs(system.constraint(q))) > 1e-8:
             raise ValueError("validation samples must lie on the constraint set")
-        L, dL_dv = system.lagrangian, system.dL_dv
         checks = {
-            "dL_dq": (_central(lambda x: L(x, v), q, eps), system.dL_dq(q, v)),
-            "dL_dv": (_central(lambda x: L(q, x), v, eps), dL_dv(q, v)),
-            "d2L_dv2": (_central(lambda x: dL_dv(q, x), v, eps), system.d2L_dv2(q, v)),
-            "d2L_dqdv": (_central(lambda x: dL_dv(x, v), q, eps), system.d2L_dqdv(q, v)),
-            "dg_dq": (_central(system.constraint, q, eps), system.dg_dq(q)),
+            "dL_dq": (_central_q(system.lagrangian, q, v, eps), system.dL_dq(q, v)),
+            "dL_dv": (_central_v(system.lagrangian, q, v, eps), system.dL_dv(q, v)),
+            "d2L_dv2": (_central_v(system.dL_dv, q, v, eps), system.d2L_dv2(q, v)),
+            "d2L_dqdv": (_central_q(system.dL_dv, q, v, eps), system.d2L_dqdv(q, v)),
+            "dg_dq": (_central_q(system.constraint, q, None, eps), system.dg_dq(q)),
         }
         # Second difference of g along v approximates the (v, v)-contracted Hessian.
         e2 = np.sqrt(eps)
@@ -296,7 +289,7 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
         ) / e2**2
         checks["d2g_dq2_vv"] = (second, system.d2g_dq2_vv(q, v))
         for r in range(system.num_noise):
-            fd = _central(system.gamma[r], q, eps)
+            fd = _central_q(system.gamma[r], q, None, eps)
             errors["dgamma_dq"] = max(
                 errors["dgamma_dq"], _rel_err(fd, system.dgamma_dq[r](q))
             )

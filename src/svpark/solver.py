@@ -45,24 +45,9 @@ class NewtonResult:
 
 
 def _inf_norm(r):
-    a = np.abs(r)
-    if a.size < 32 * a.shape[-1]:
-        return a.max(axis=-1)
-    # Column by column: numpy reduces a short last axis one row at a time,
-    # which for many rows costs far more than the comparisons.
-    norm = a[..., 0]
-    for j in range(1, a.shape[-1]):
-        norm = np.maximum(norm, a[..., j])
-    return norm
-
-
-def _apply(mat, vec):
-    """Batched matrix-vector product mat @ vec."""
-    if mat.shape[-1] == 1:
-        # One column: a plain product, with + 0.0 turning a -0.0 product
-        # into the +0.0 that matmul returns; far cheaper for large batches.
-        return mat[..., 0] * vec + 0.0
-    return (mat @ vec[..., None])[..., 0]
+    # |r| laid out column-major, so the max over the short last axis runs
+    # across whole columns instead of one row at a time (the same values).
+    return np.abs(r, order="F").max(axis=-1)
 
 
 def _fd_jacobian(F, x, Fx):
@@ -81,7 +66,7 @@ def _solve_linear(J, r):
         delta = np.linalg.solve(J, r[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise SingularJacobian(str(err)) from err
-    if not np.isfinite(delta).all():
+    if not np.all(np.isfinite(delta)):
         raise SingularJacobian("linear solve produced non-finite update")
     return delta
 
@@ -114,7 +99,7 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
     converged = norm <= cfg.tol_residual
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        if converged.all():
+        if np.all(converged):
             iterations -= 1
             break
         J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx)
@@ -130,7 +115,7 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
             trial_x = np.where(better[..., None], candidate, trial_x)
             trial_F = np.where(better[..., None], Fc, trial_F)
             accepted = accepted | better
-            if accepted.all():
+            if np.all(accepted):
                 break
             alpha = np.where(accepted, alpha, alpha / 2.0)
         if not np.all(accepted):
@@ -166,10 +151,10 @@ def _schur_complement(M, G, extra=None):
         raise RankDeficient(f"primal block not invertible: {err}") from err
     MinvGT = solved[..., :k]
     S = G @ MinvGT
-    if not np.isfinite(S).all():
+    if not np.all(np.isfinite(S)):
         raise RankDeficient("Schur complement G M^-1 G^T is not finite")
     if k == 1:
-        if (S == 0.0).any():
+        if np.any(S == 0.0):
             raise RankDeficient("Schur complement numerically singular (zero pivot)")
     else:
         cond = np.linalg.cond(S)
@@ -195,11 +180,7 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     rc = np.asarray(rhs_constraint, dtype=float)
     MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
     Minv_rp = Minv_rp[..., 0]
-    resid = _apply(G, Minv_rp) - rc
-    if S.shape[-1] == 1:
-        # LAPACK's 1x1 solve is this division, without its per-call cost.
-        lam = resid / S[..., 0]
-    else:
-        lam = np.linalg.solve(S, resid[..., None])[..., 0]
-    x = Minv_rp - _apply(MinvGT, lam)
+    resid = (G @ Minv_rp[..., None])[..., 0] - rc
+    lam = np.linalg.solve(S, resid[..., None])[..., 0]
+    x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]
     return x, lam

@@ -24,9 +24,9 @@ from .deterministic import (
 from .exceptions import ConditionViolated, ConfigInvalid, NameNotFound
 from .model import (
     State,
-    _noise_force,
     energy,
     legendre_velocity,
+    noise_gradients,
 )
 from .reduction import reduced_drift_diffusion
 from .solver import DEFAULT_NEWTON
@@ -98,7 +98,8 @@ def stochastic_variational_euler_step(
     if dW is None or system.num_noise == 0:
         kick = None
     else:
-        kick = _noise_force(system, q, np.asarray(dW, dtype=float))
+        dW = np.asarray(dW, dtype=float)
+        kick = np.einsum("...m,...mn->...n", dW, noise_gradients(system, q))
     intermediate = _euler_b_core(system, x, h, kick=kick, config=config, v=v, warm=warm)
     return _projected_step(system, intermediate, h, config)
 
@@ -160,26 +161,25 @@ def _em_step(system, cfg, rk, x, v, dW, h, warm):
     )
 
 
-# name -> (uses_noise, step(system, config, (tableau, nu), x, v, dW, h, warm)).
+# name -> (uses_noise, the keys of a dict spec besides "method" that the
+# method reads, step(system, config, (tableau, nu), x, v, dW, h, warm)).
 # The step functions are looked up in this module each time a step runs, so
 # replacing a module attribute (as a profiler does) reaches every stepper.
 _METHODS = {
-    "rattle": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+    "rattle": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         rattle_step(system, x, h, cfg, v=v, warm=warm)),
-    "vprk": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+    "vprk": (False, ("tableau",), lambda system, cfg, rk, x, v, dW, h, warm:
         _vprk_core(system, rk[0], x, h, cfg, nu=None, dW=None, v=v, warm=warm)),
-    "stochastic_vprk": (True, lambda system, cfg, rk, x, v, dW, h, warm:
+    "stochastic_vprk": (True, ("tableau", "quad"), lambda system, cfg, rk, x, v, dW, h, warm:
         _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v, warm=warm)),
-    "euler_a": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+    "euler_a": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         euler_a_with_projection(system, x, h, cfg, warm=warm)),
-    "euler_b": (False, lambda system, cfg, rk, x, v, dW, h, warm:
+    "euler_b": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         euler_b_with_projection(system, x, h, cfg, v=v, warm=warm)),
-    "stochastic_variational_euler": (True, lambda system, cfg, rk, x, v, dW, h, warm:
+    "stochastic_variational_euler": (True, (), lambda system, cfg, rk, x, v, dW, h, warm:
         stochastic_variational_euler_step(system, x, dW, h, cfg, v=v, warm=warm)),
-    "euler_maruyama_ref": (True, _em_step),
+    "euler_maruyama_ref": (True, (), _em_step),
 }
-# The keys of a dict method spec, besides "method", that each method reads.
-_SPEC_KEYS = {"vprk": {"tableau"}, "stochastic_vprk": {"tableau", "quad"}}
 
 
 def make_stepper(system, method, config=None) -> Stepper:
@@ -190,26 +190,29 @@ def make_stepper(system, method, config=None) -> Stepper:
     stochastic_variational_euler, stochastic_vprk, euler_maruyama_ref.
     ``tableau`` is read by the two vprk methods and ``quad`` by
     stochastic_vprk only.  Raises NameNotFound for an unknown name,
-    ConfigInvalid for a key the method does not read, and ConditionViolated
+    ConfigInvalid for a spec without a method name or with a key the method
+    does not read, and ConditionViolated
     for an inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
     ``quad.kappa`` (accepted only as all zeros, so old manifests replay).
     """
     spec = {"method": method} if isinstance(method, str) else method
+    if not isinstance(spec, dict) or not isinstance(spec.get("method"), str):
+        raise ConfigInvalid("integrator must be a method name or an object with one")
     name = spec["method"]
     if name not in _METHODS:
         raise NameNotFound(f"unknown integrator {name!r}")
+    uses_noise, keys, step_fn = _METHODS[name]
     quad = spec.get("quad")
-    unread = set(spec) - {"method"} - _SPEC_KEYS.get(name, set())
+    unread = set(spec) - {"method", *keys}
     if quad is not None and "quad" not in unread:
         if not isinstance(quad, dict) or "nu" not in quad:
             raise ConfigInvalid("integrator.quad must be an object with 'nu'")
         unread |= {f"quad.{key}" for key in set(quad) - {"nu", "kappa"}}
     if unread:
         raise ConfigInvalid(f"integrator keys not read by {name}: {sorted(unread)}")
-    uses_noise, step_fn = _METHODS[name]
     cfg = config or DEFAULT_NEWTON
     rk = None
-    if name in _SPEC_KEYS:
+    if "tableau" in keys:
         tableau = tableau_from_config(spec.get("tableau", "rattle_trapezoidal"))
         if quad is not None:
             kappa = np.asarray(quad.get("kappa", 0.0), dtype=float)

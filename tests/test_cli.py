@@ -285,6 +285,25 @@ def test_integrator_keys_the_method_does_not_read_are_rejected(
     assert (out / "trajectory.csv").exists() == (code == 0)
     if code:
         assert "invalid config: integrator" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "integrator",
+    [
+        {"tableau": "rattle_trapezoidal"},
+        "rattle",
+        {"method": ["rattle"]},
+    ],
+)
+def test_malformed_integrator_section_exits_2_without_output(
+    tmp_path, capsys, integrator
+):
+    config = write_config(tmp_path, study="simulate", integrator=integrator, step={"h": 0.0625})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 2
+    assert "invalid config: integrator" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stochastic_symplecticity_run_replays_from_manifest(tmp_path):
