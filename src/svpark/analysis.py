@@ -40,8 +40,6 @@ __all__ = [
     "weak_error_study",
     "symplecticity_check",
     "drift_metrics",
-    "write_strong_csv",
-    "write_weak_csv",
 ]
 
 DEFAULT_BLOCK_SIZE = 512
@@ -398,7 +396,7 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
 
 
 # ---------------------------------------------------------------------------
-# Drift metrics and CSV output
+# Drift metrics
 
 
 def drift_metrics(trajectory) -> DriftMetrics:
@@ -408,35 +406,3 @@ def drift_metrics(trajectory) -> DriftMetrics:
         max_hidden=float(np.max(trajectory.hidden)),
         energy_series=np.array(trajectory.energy),
     )
-
-
-def _fmt(x):
-    return repr(float(x))
-
-
-def write_strong_csv(path, result: StrongErrorResult):
-    """Columns: h, error_q, error_p, stderr (stderr of the pooled error)."""
-    lines = ["h,error_q,error_p,stderr"]
-    for i, h in enumerate(result.position.step_sizes):
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    h,
-                    result.position.errors[i],
-                    result.momentum.errors[i],
-                    result.pooled_stderr[i],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_weak_csv(path, result: WeakErrorResult):
-    """Columns: h, weak_error, mc_stderr."""
-    lines = ["h,weak_error,mc_stderr"]
-    for i, h in enumerate(result.report.step_sizes):
-        lines.append(
-            ",".join(_fmt(x) for x in (h, result.report.errors[i], result.mc_stderr[i]))
-        )
-    path.write_text("\n".join(lines) + "\n")

@@ -5,6 +5,12 @@ the study named inside the config.  Every run writes ``manifest.json``
 containing the fully resolved configuration and the library version;
 running that manifest reproduces the CSV outputs byte for byte.
 
+A run checks every field before any work starts, computes its study in
+memory and only then creates the output directory, so a run that exits
+non-zero creates no output directory.  Exit codes: 0 success; 2 for every
+config error, unknown names and malformed values included; 1 for runtime
+failures and for an inadmissible tableau or quadrature.
+
 Config schema (JSON object)::
 
     {
@@ -27,6 +33,7 @@ Config schema (JSON object)::
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,254 +41,272 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _fmt,
-    drift_metrics,
-    strong_error_study,
-    symplecticity_check,
-    weak_error_study,
-    write_strong_csv,
-    write_weak_csv,
+    _validate_ladder, drift_metrics, strong_error_study, symplecticity_check, weak_error_study
 )
 from .deterministic import project_state
-from .exceptions import ConfigInvalid, NameNotFound, SvparkError
-from .model import (
-    State,
-    builtin_models,
-    constraint_residual,
-    energy,
-    hidden_residual,
+from .exceptions import (
+    ConfigInvalid, InvalidResolution, LadderTooShort, NameNotFound, SvparkError
 )
-from .noise import coarsen, generate
+from .model import State, builtin_models, constraint_residual, energy, hidden_residual
+from .noise import _is_count, coarsen, generate
 from .solver import NewtonConfig
 from .stochastic import make_stepper, simulate_path
 
 __all__ = ["run", "main", "load_config"]
 
-_STUDIES = ("simulate", "strong_order", "weak_order", "symplecticity", "drift")
 _TOP_KEYS = {
-    "model",
-    "integrator",
-    "initial_state",
-    "horizon",
-    "step",
-    "noise",
-    "study",
-    "observable",
-    "newton",
-    "output_dir",
-    "_manifest",
+    "model", "integrator", "initial_state", "horizon", "step", "noise", "study",
+    "observable", "newton", "output_dir", "_manifest",
 }
 
 
-def _fail(message):
+def load_config(path) -> dict:
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8 text or not JSON
+        raise ConfigInvalid(f"cannot read config {path}: {err}") from None
+    return _section(config, "config", _TOP_KEYS)
+
+
+# ---------------------------------------------------------------------------
+# Phase 1: read and check every field
+
+
+def _section(value, name, keys):
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{name} must be a JSON object")
+    unknown = set(value) - keys
+    if unknown:
+        raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
+    return value
+
+
+def _number(value, name, positive=True):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if math.isfinite(value) and (value > 0 or not positive):
+            return float(value)
+    kind = "finite positive" if positive else "finite"
+    raise ConfigInvalid(f"{name} must be a {kind} number, got {value!r}")
+
+
+def _validate_initial_state(system, spec) -> State:
+    spec = _section(spec, "initial_state", {"q", "p"})
+    try:
+        q = np.asarray(spec.get("q"), dtype=float)
+        p = np.asarray(spec.get("p"), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigInvalid("initial state q and p must be lists of numbers") from None
+    n = system.dim_q
+    if q.shape != (n,) or p.shape != (n,) or not np.isfinite([q, p]).all():
+        raise ConfigInvalid(f"initial state must have finite q and p of length {n}")
+    with np.errstate(over="ignore"):  # a far-off q overflows g; the residual still reads inf
+        c_res = float(constraint_residual(system, q))
+        h_res = float(hidden_residual(system, q, p=p))
+        if c_res <= 1e-8 and h_res <= 1e-8:
+            return State(q=q, p=p)
+        message = (
+            f"initial state violates the constraint set: |g(q0)| = {c_res:.3e}, "
+            f"|dg.v0| = {h_res:.3e} (tolerance 1e-08)"
+        )
+        try:
+            hint = project_state(system, q, p)
+            message += f"; nearest valid state: q = {hint.q.tolist()}, p = {hint.p.tolist()}"
+        except SvparkError:
+            pass  # the hint is best-effort; the residuals alone explain the rejection
     raise ConfigInvalid(message)
 
 
-def load_config(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        _fail(f"config file {path} does not exist")
+def _noise_paths(noise, num_channels, span):
+    if not noise:
+        raise ConfigInvalid("this study requires a 'noise' section (seed, paths, base_steps)")
     try:
-        config = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        _fail(f"config is not valid JSON: {err}")
-    if not isinstance(config, dict):
-        _fail("config must be a JSON object")
-    unknown = set(config) - _TOP_KEYS
-    if unknown:
-        _fail(f"unknown config keys: {sorted(unknown)}")
-    return config
+        return generate(noise.get("seed"), noise.get("paths", noise.get("num_paths")),
+                        num_channels, noise.get("base_steps"), span)
+    except (InvalidResolution, ValueError) as err:
+        raise ConfigInvalid(f"noise: {err}") from None
 
 
-def _resolve(config) -> dict:
+def _resolve(config):
+    """Check every field before any work starts; raise ConfigInvalid if one is bad.
+
+    Returns the manifest (the config with defaults filled in) and the study's arguments.
+    """
     resolved = {k: v for k, v in config.items() if k != "_manifest"}
-    resolved.setdefault("model", {"name": "spherical_pendulum"})
-    resolved.setdefault("horizon", {"start": 0.0, "end": 1.0})
-    resolved.setdefault("newton", {})
-    resolved["newton"] = {
-        "tol": resolved["newton"].get("tol", 1e-12),
-        "max_iter": resolved["newton"].get("max_iter", 50),
-    }
-    for key in ("integrator", "initial_state", "step", "study"):
-        if key not in resolved:
-            _fail(f"config is missing required key {key!r}")
-    if not isinstance(resolved["integrator"], dict):
-        _fail("integrator must be an object with a 'method' name")
-    if resolved["study"] not in _STUDIES:
-        _fail(f"study must be one of {_STUDIES}, got {resolved['study']!r}")
-    if resolved["study"] == "weak_order":
-        resolved.setdefault("observable", "height")
-    step = resolved["step"]
-    if "h_ladder" in step:
-        step.setdefault("ref_refine", 64)
-    elif "h" not in step:
-        _fail("step needs either 'h' or 'h_ladder'")
-    return resolved
-
-
-def _build_system(resolved):
-    name = resolved["model"].get("name")
+    models = builtin_models()
+    model = resolved.setdefault("model", {"name": "spherical_pendulum"})
+    name = _section(model, "model", {"name"}).get("name")
+    if name not in list(models):  # a list, not the dict: an unhashable name must not raise
+        raise ConfigInvalid(f"unknown model {name!r}; available: {sorted(models)}")
+    system = models[name]()
+    newton = _section(resolved.get("newton", {}), "newton", {"tol", "max_iter"})
+    tol, max_iter = newton.get("tol", 1e-12), newton.get("max_iter", 50)
+    resolved["newton"] = {"tol": tol, "max_iter": max_iter}
+    if not _is_count(max_iter, 1):
+        raise ConfigInvalid(f"newton.max_iter must be an integer >= 1, got {max_iter!r}")
+    config = NewtonConfig(_number(tol, "newton.tol"), max_iter)
+    method = resolved.get("integrator")
+    if not isinstance(method, dict):
+        raise ConfigInvalid("integrator must be an object with a 'method' name")
     try:
-        factory = builtin_models()[name]
-    except KeyError:
-        _fail(f"unknown model {name!r}; available: {sorted(builtin_models())}")
-    return factory()
+        stochastic = make_stepper(system, method, config).uses_noise and system.num_noise > 0
+    except (NameNotFound, ValueError, TypeError) as err:
+        raise ConfigInvalid(f"integrator: {err}") from None
+    x0 = _validate_initial_state(system, resolved.get("initial_state"))
+    horizon = resolved.setdefault("horizon", {"start": 0.0, "end": 1.0})
+    _section(horizon, "horizon", {"start", "end"})
+    t0 = _number(horizon.get("start"), "horizon.start", positive=False)
+    t1 = _number(horizon.get("end"), "horizon.end", positive=False)
+    if t1 <= t0:
+        raise ConfigInvalid(f"horizon end {t1} must exceed its start {t0}")
+    noise = resolved.get("noise") or {}
+    _section(noise, "noise", {"seed", "paths", "num_paths", "base_steps"})
+    study = resolved.get("study")
+    if study not in list(_STUDIES):
+        raise ConfigInvalid(f"study must be one of {list(_STUDIES)}, got {study!r}")
+    if study != "weak_order" and "observable" in resolved:
+        raise ConfigInvalid("observable is read by weak_order only")
+    args = {"system": system, "method": method, "x0": x0, "config": config}
+
+    if study in ("strong_order", "weak_order"):
+        step = _section(resolved.get("step"), "step", {"h_ladder", "ref_refine"})
+        if not isinstance(step.get("h_ladder"), list):
+            raise ConfigInvalid(f"{study} needs step.h_ladder, a list of step sizes")
+        ladder = [_number(h, "each step.h_ladder entry") for h in step["h_ladder"]]
+        ref_refine = step.setdefault("ref_refine", 64)
+        paths = _noise_paths(noise, system.num_noise, (t0, t1))
+        try:
+            _validate_ladder(paths, ladder, None, ref_refine)
+        except (LadderTooShort, ValueError, TypeError) as err:
+            raise ConfigInvalid(f"step: {err}") from None
+        args.update(paths=paths, ladder=ladder, ref_refine=ref_refine)
+        if study == "weak_order":
+            observables = {"height": lambda q, p: q[..., 2],
+                           "energy": lambda q, p: energy(system, q, p=p)}
+            name = resolved.setdefault("observable", "height")
+            if name not in list(observables):
+                raise ConfigInvalid(f"unknown observable {name!r}; available: height, energy")
+            args["observable"] = observables[name]
+        return resolved, args
+
+    h = args["h"] = _number(_section(resolved.get("step"), "step", {"h"}).get("h"), "step.h")
+    if study == "symplecticity":
+        if stochastic:
+            one_step = {"seed": noise.get("seed", 0), "paths": 1, "base_steps": 1}
+            args["paths"] = _noise_paths(one_step, system.num_noise, (0.0, h))
+        return resolved, args
+    num_steps = args["num_steps"] = int(round((t1 - t0) / h))
+    if abs(num_steps * h - (t1 - t0)) > 1e-9:
+        raise ConfigInvalid(f"step h = {h} does not divide the horizon length {t1 - t0}")
+    if stochastic:
+        base = 1 << (num_steps - 1).bit_length()  # the least power of two >= num_steps
+        paths = args["paths"] = _noise_paths(noise, system.num_noise, (t0, t0 + base * h))
+        if paths.base_steps < num_steps:
+            raise ConfigInvalid("noise base_steps too small for the requested horizon")
+        args["factor"] = paths.base_steps // base
+    return resolved, args
 
 
-def _validate_initial_state(system, resolved) -> State:
-    spec = resolved["initial_state"]
-    q = np.asarray(spec.get("q"), dtype=float)
-    p = np.asarray(spec.get("p"), dtype=float)
-    if q.shape != (system.dim_q,) or p.shape != (system.dim_q,):
-        _fail(f"initial state must have q and p of length {system.dim_q}")
-    c_res = float(constraint_residual(system, q))
-    h_res = float(hidden_residual(system, q, p=p))
-    if c_res > 1e-8 or h_res > 1e-8:
-        hint = project_state(system, q, p)
-        _fail(
-            f"initial state violates the constraint set: |g(q0)| = {c_res:.3e}, "
-            f"|dg.v0| = {h_res:.3e} (tolerance 1e-08); nearest valid state: "
-            f"q = {hint.q.tolist()}, p = {hint.p.tolist()}"
-        )
-    return State(q=q, p=p)
+# ---------------------------------------------------------------------------
+# Phase 2: one function per study, each returning (header, rows, summary lines)
 
 
-def _observable(system, name):
-    if name == "height":
-        return lambda q, p: q[..., 2]
-    if name == "energy":
-        return lambda q, p: energy(system, q, p=p)
-    _fail(f"unknown observable {name!r}; available: height, energy")
-
-
-def _noise_block(resolved, num_channels, T0, T1):
-    noise = resolved.get("noise")
-    if noise is None:
-        _fail("this study requires a 'noise' section (seed, paths, base_steps)")
-    num_paths = noise.get("paths", noise.get("num_paths"))
-    if num_paths is None or "seed" not in noise or "base_steps" not in noise:
-        _fail("noise section needs seed, paths and base_steps")
-    return generate(
-        noise["seed"], num_paths, num_channels, noise["base_steps"], horizon=(T0, T1)
+def _trajectory(system, method, x0, config, h, num_steps, paths=None, factor=None):
+    view = coarsen(paths, factor) if paths is not None else None
+    traj = simulate_path(
+        system, method, x0, view, path_index=0, h=h, num_steps=num_steps, config=config
     )
-
-
-def _write_trajectory_csv(path, traj, n):
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + ["constraint", "hidden", "energy"]
+    coordinates = [f"{x}{i + 1}" for x in "qp" for i in range(system.dim_q)]
+    header = ["t", *coordinates, "constraint", "hidden", "energy"]
+    rows = np.column_stack(
+        [traj.times, traj.q, traj.p, traj.constraint, traj.hidden, traj.energy]
     )
-    lines = [",".join(header)]
-    for i in range(len(traj.times)):
-        row = (
-            [traj.times[i]]
-            + list(traj.q[i])
-            + list(traj.p[i])
-            + [traj.constraint[i], traj.hidden[i], traj.energy[i]]
-        )
-        lines.append(",".join(_fmt(x) for x in row))
+    metrics = drift_metrics(traj)
+    return header, rows, [
+        f"steps: {num_steps}  h: {_fmt(h)}",
+        f"max |g|: {metrics.max_constraint:.6e}",
+        f"max hidden residual: {metrics.max_hidden:.6e}",
+        f"energy drift: {metrics.energy_series[-1] - metrics.energy_series[0]:.6e}",
+    ]
+
+
+def _strong_order(system, method, x0, config, paths, ladder, ref_refine):
+    result = strong_error_study(
+        system, method, x0, paths, ladder, ref_refine=ref_refine, config=config
+    )
+    position, momentum = result.position, result.momentum
+    rows = np.column_stack(
+        [position.step_sizes, position.errors, momentum.errors, result.pooled_stderr]
+    )
+    return ["h", "error_q", "error_p", "stderr"], rows, [
+        f"position slope: {position.slope:.4f} (stderr {position.slope_stderr:.4f})",
+        f"momentum slope: {momentum.slope:.4f} (stderr {momentum.slope_stderr:.4f})",
+    ]
+
+
+def _weak_order(system, method, x0, config, paths, ladder, ref_refine, observable):
+    result = weak_error_study(
+        system, method, x0, paths, ladder, observable, ref_refine=ref_refine, config=config
+    )
+    report = result.report
+    rows = np.column_stack([report.step_sizes, report.errors, result.mc_stderr])
+    return ["h", "weak_error", "mc_stderr"], rows, [
+        f"weak slope: {report.slope:.4f} (stderr {report.slope_stderr:.4f})",
+        f"max mc stderr: {np.max(result.mc_stderr):.6e}",
+    ]
+
+
+def _symplecticity(system, method, x0, config, h, paths=None):
+    # A stochastic method is frozen at the first increment of path 0: the
+    # per-path stream every study draws from.
+    dW = paths.increments[0, :, 0] if paths is not None else None
+    residual = symplecticity_check(system, method, x0, h, dW=dW, config=config)
+    return ["h", "residual"], [[h, residual]], [f"symplecticity residual: {residual:.6e}"]
+
+
+# study name -> (CSV file name, study function)
+_STUDIES = {
+    "simulate": ("trajectory.csv", _trajectory),
+    "drift": ("drift.csv", _trajectory),
+    "strong_order": ("strong.csv", _strong_order),
+    "weak_order": ("weak.csv", _weak_order),
+    "symplecticity": ("symplecticity.csv", _symplecticity),
+}
+
+
+# ---------------------------------------------------------------------------
+# Phase 3: write
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 def run(config_path, output_dir=None) -> int:
-    """Execute the study described by a config file; returns the exit code."""
-    config = load_config(config_path)
-    resolved = _resolve(config)
+    """Execute the study described by a config file; returns the exit code.
+
+    Raises ConfigInvalid for a config error before any work starts; the
+    output directory is created only once the study has returned.
+    """
+    resolved, args = _resolve(load_config(config_path))
     if output_dir is not None:
         resolved["output_dir"] = str(output_dir)
-    resolved.setdefault("output_dir", "svpark_out")
+    if not isinstance(resolved.setdefault("output_dir", "svpark_out"), str):
+        raise ConfigInvalid("output_dir must be a path string")
 
-    system = _build_system(resolved)
-    x0 = _validate_initial_state(system, resolved)
-    newton = NewtonConfig(
-        tol_residual=resolved["newton"]["tol"], max_iter=resolved["newton"]["max_iter"]
-    )
-    t0 = float(resolved["horizon"]["start"])
-    t1 = float(resolved["horizon"]["end"])
-    study = resolved["study"]
-    method = resolved["integrator"]
-    uses_noise = make_stepper(system, method, newton).uses_noise and system.num_noise > 0
+    csv_name, study = _STUDIES[resolved["study"]]
+    header, rows, lines = study(**args)
+    summary = [f"svpark {__version__}", f"study: {resolved['study']}",
+               f"method: {resolved['integrator']['method']}", *lines]
+
     out = Path(resolved["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    summary = [f"svpark {__version__}", f"study: {study}", f"method: {method['method']}"]
-
-    if study in ("simulate", "drift"):
-        h = float(resolved["step"]["h"])
-        num_steps = int(round((t1 - t0) / h))
-        if abs(num_steps * h - (t1 - t0)) > 1e-9:
-            _fail(f"step h = {h} does not divide the horizon length {t1 - t0}")
-        view = None
-        if uses_noise:
-            base = 1
-            while base < num_steps:
-                base *= 2
-            paths = _noise_block(resolved, system.num_noise, t0, t0 + base * h)
-            if paths.base_steps < num_steps:
-                _fail("noise base_steps too small for the requested horizon")
-            view = coarsen(paths, paths.base_steps // base)
-        traj = simulate_path(
-            system, method, x0, view, path_index=0, h=h, num_steps=num_steps,
-            config=newton,
-        )
-        name = "trajectory.csv" if study == "simulate" else "drift.csv"
-        _write_trajectory_csv(out / name, traj, system.dim_q)
-        metrics = drift_metrics(traj)
-        summary += [
-            f"steps: {num_steps}  h: {_fmt(h)}",
-            f"max |g|: {metrics.max_constraint:.6e}",
-            f"max hidden residual: {metrics.max_hidden:.6e}",
-            f"energy drift: {metrics.energy_series[-1] - metrics.energy_series[0]:.6e}",
-        ]
-    elif study in ("strong_order", "weak_order"):
-        ladder = [float(h) for h in resolved["step"]["h_ladder"]]
-        ref_refine = int(resolved["step"]["ref_refine"])
-        expected_base = int(round((t1 - t0) / (min(ladder) / ref_refine)))
-        paths = _noise_block(resolved, system.num_noise, t0, t1)
-        if paths.base_steps != expected_base:
-            _fail(
-                f"noise base_steps = {paths.base_steps} but the ladder needs "
-                f"{expected_base} (= horizon / (min(h)/ref_refine))"
-            )
-        if study == "strong_order":
-            result = strong_error_study(
-                system, method, x0, paths, ladder, ref_refine=ref_refine, config=newton
-            )
-            write_strong_csv(out / "strong.csv", result)
-            summary += [
-                f"position slope: {result.position.slope:.4f} "
-                f"(stderr {result.position.slope_stderr:.4f})",
-                f"momentum slope: {result.momentum.slope:.4f} "
-                f"(stderr {result.momentum.slope_stderr:.4f})",
-            ]
-        else:
-            obs = _observable(system, resolved["observable"])
-            result = weak_error_study(
-                system, method, x0, paths, ladder, obs,
-                ref_refine=ref_refine, config=newton,
-            )
-            write_weak_csv(out / "weak.csv", result)
-            summary += [
-                f"weak slope: {result.report.slope:.4f} "
-                f"(stderr {result.report.slope_stderr:.4f})",
-                f"max mc stderr: {np.max(result.mc_stderr):.6e}",
-            ]
-    elif study == "symplecticity":
-        h = float(resolved["step"]["h"])
-        dW = None
-        if uses_noise:
-            # One step of path 0: the per-path stream every study draws from.
-            seed = (resolved.get("noise") or {}).get("seed", 0)
-            dW = generate(seed, 1, system.num_noise, 1, horizon=(0.0, h)).increments[0, :, 0]
-        residual = symplecticity_check(system, method, x0, h, dW=dW, config=newton)
-        (out / "symplecticity.csv").write_text(
-            "h,residual\n" + f"{_fmt(h)},{_fmt(residual)}\n"
-        )
-        summary.append(f"symplecticity residual: {residual:.6e}")
-
-    manifest = dict(resolved)
-    manifest["_manifest"] = {"version": __version__}
+    _write_csv(out / csv_name, header, rows)
+    manifest = dict(resolved, _manifest={"version": __version__})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     for line in summary:
@@ -304,7 +329,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as err:
         print(f"error: invalid config: {err}", file=sys.stderr)
         return 2
-    except (SvparkError, NameNotFound) as err:
+    except SvparkError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

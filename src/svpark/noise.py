@@ -24,8 +24,13 @@ __all__ = [
 ]
 
 
+def _is_count(value, minimum):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and value >= minimum
+
+
 def _is_power_of_two(value):
-    return isinstance(value, (int, np.integer)) and value >= 1 and (value & (value - 1)) == 0
+    return _is_count(value, 1) and (value & (value - 1)) == 0
 
 
 def increment_block(seed, path_start, path_stop, num_channels, base_steps, horizon):
@@ -115,12 +120,14 @@ def generate(seed, num_paths, num_channels, base_steps, horizon=(0.0, 1.0)) -> B
 
     Deterministic function of the seed: the same arguments always produce
     bitwise-identical increments.  Raises InvalidResolution when
-    ``base_steps`` is not a power of two.
+    ``base_steps`` is not a power of two, and ValueError unless ``seed`` is
+    an integer >= 0, ``num_paths`` one >= 1 and ``num_channels`` one >= 0.
     """
     if not _is_power_of_two(base_steps):
         raise InvalidResolution(f"base_steps must be a power of two, got {base_steps}")
-    if num_paths < 1 or num_channels < 0:
-        raise ValueError("need num_paths >= 1 and num_channels >= 0")
+    if not (_is_count(seed, 0) and _is_count(num_paths, 1) and _is_count(num_channels, 0)):
+        raise ValueError(f"need integers seed >= 0, num_paths >= 1 and num_channels >= 0, "
+                         f"got {seed!r}, {num_paths!r} and {num_channels!r}")
     return BrownianPaths(
         seed=int(seed),
         num_paths=int(num_paths),

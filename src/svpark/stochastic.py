@@ -236,7 +236,7 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     ``increments`` has shape (..., m, steps), or is None for a method that
     reads no noise; ``x0`` is broadcast to its batch shape (...).  Yields
     (StepResult, velocity) after each step.  Errors raised by a step are
-    re-raised with the step index prepended.
+    re-raised with the step index, step count and step size prepended.
     """
     cfg = config or DEFAULT_NEWTON
     stepper = make_stepper(system, method, cfg)
@@ -258,7 +258,8 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
         try:
             result, v, warm = stepper.step(state, v, dW, h, warm)
         except Exception as err:
-            err.args = (f"step {step_index}: {err.args[0] if err.args else err}",)
+            detail = err.args[0] if err.args else err
+            err.args = (f"step {step_index} of {num_steps} at h = {h}: {detail}",)
             raise
         state = result.state
         yield result, v
@@ -299,7 +300,7 @@ def simulate_path(
     ``increments`` is an IncrementView (or anything with ``increments`` of
     shape (paths, channels, steps) plus ``h``); its resolution must match
     ``h`` when both are given.  Deterministic methods may omit it.  Errors
-    raised by a step are re-raised with the step index prepended.
+    raised by a step are re-raised as ``integrate`` re-raises them.
     """
     cfg = config or DEFAULT_NEWTON
     inc = None

@@ -36,14 +36,18 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_off_manifold_initial_state_rejected_with_hint(tmp_path, capsys):
-    config = write_config(
-        tmp_path, initial_state={"q": [1.1, 0.0, 0.0], "p": [0.0, 0.0, 0.0]}
-    )
-    code = main(["run", "--config", str(config), "--output-dir", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "|g(q0)|" in captured.err
-    assert "nearest valid state" in captured.err
+    # The hint is best-effort: at q = 0 the projection meets degenerate
+    # constraint gradients, at 1e200 it does not converge.
+    for q0, hinted in ((1.1, True), (0.0, False), (1e200, False)):
+        config = write_config(
+            tmp_path, initial_state={"q": [q0, 0.0, 0.0], "p": [0.0, 0.0, 0.0]}
+        )
+        code = main(["run", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "|g(q0)|" in captured.err and "|dg.v0|" in captured.err
+        assert ("nearest valid state" in captured.err) == hinted
+        assert not (tmp_path / "out").exists()
 
 
 def test_strong_order_run_produces_artifacts(tmp_path, capsys):
@@ -321,3 +325,78 @@ def test_stochastic_symplecticity_run_replays_from_manifest(tmp_path):
     assert (out1 / "symplecticity.csv").read_bytes() == (
         out2 / "symplecticity.csv"
     ).read_bytes()
+
+
+SIMULATE = {"study": "simulate", "integrator": {"method": "rattle"},
+            "step": {"h": 0.0625}, "noise": None}
+SVE_SIMULATE = dict(SIMULATE, integrator={"method": "stochastic_variational_euler"},
+                    noise={"seed": 3, "paths": 1, "base_steps": 16})
+NOISE = {"seed": 77, "paths": 16, "base_steps": 128}
+
+
+def vprk(tableau):
+    return dict(SIMULATE, integrator={"method": "vprk", "tableau": tableau})
+
+
+def state(q=(1.0, 0.0, 0.0), p=(0.0, 0.0, 0.0)):
+    return {"initial_state": {"q": list(q), "p": list(p)}}
+
+
+# Each case overrides the strong-order config of write_config.  Exit 2 is a
+# config error, exit 1 a runtime failure; neither may leave output behind.
+REJECTED = {
+    "h-not-a-number": (dict(SIMULATE, step={"h": "abc"}), 2),
+    "h-zero": (dict(SIMULATE, step={"h": 0}), 2),
+    "h-negative": (dict(SIMULATE, step={"h": -0.0625}), 2),
+    "h-not-dividing-horizon": (dict(SIMULATE, step={"h": 0.3}), 2),
+    "h-ladder-to-simulate": (dict(SIMULATE, step={"h_ladder": [0.25, 0.125, 0.0625]}), 2),
+    "h-to-strong-order": ({"step": {"h": 0.0625}}, 2),
+    "horizon-reversed": (dict(SIMULATE, horizon={"start": 1.0, "end": 0.0}), 2),
+    "horizon-incomplete": (dict(SIMULATE, horizon={"start": 0.0}), 2),
+    "model-not-an-object": ({"model": "spherical_pendulum"}, 2),
+    "study-unknown": ({"study": "energy_drift"}, 2),
+    "noise-not-an-object": ({"noise": [1]}, 2),
+    "noise-missing": ({"noise": None}, 2),
+    "noise-without-base-steps": ({"noise": {"seed": 1, "paths": 16}}, 2),
+    "noise-paths-zero": ({"noise": dict(NOISE, paths=0)}, 2),
+    "noise-paths-fractional": ({"noise": dict(NOISE, paths=2.5)}, 2),
+    "noise-seed-negative": ({"noise": dict(NOISE, seed=-1)}, 2),
+    "noise-seed-fractional": ({"noise": dict(NOISE, seed=1.5)}, 2),
+    "base-steps-not-power-of-two": ({"noise": dict(NOISE, base_steps=100)}, 2),
+    "base-steps-not-matching-ladder": ({"noise": dict(NOISE, base_steps=64)}, 2),
+    "base-steps-too-small-for-simulate": (
+        dict(SVE_SIMULATE, noise={"seed": 3, "paths": 1, "base_steps": 8}), 2),
+    "ladder-too-short": ({"step": {"h_ladder": [0.25, 0.125], "ref_refine": 8},
+                          "noise": dict(NOISE, base_steps=64)}, 2),
+    "ladder-not-dyadic": ({"step": {"h_ladder": [0.25, 0.2, 0.0625], "ref_refine": 8}}, 2),
+    "ref-refine-one": ({"step": {"h_ladder": [0.25, 0.125, 0.0625], "ref_refine": 1},
+                        "noise": dict(NOISE, base_steps=16)}, 2),
+    "observable-unknown": ({"study": "weak_order", "observable": "velocity"}, 2),
+    "observable-outside-weak-order": ({"observable": "height"}, 2),
+    "newton-tol-negative": ({"newton": {"tol": -1}}, 2),
+    "newton-max-iter-zero": ({"newton": {"max_iter": 0}}, 2),
+    "newton-not-an-object": ({"newton": [1e-12, 50]}, 2),
+    "method-unknown": ({"integrator": {"method": "leapfrog"}}, 2),
+    "tableau-unknown": (vprk("radau"), 2),
+    "tableau-b-wrong-length": (vprk({"a": [[0.0, 0.0], [0.5, 0.5]], "b": [1.0]}), 2),
+    "tableau-without-a": (vprk({"b": [1.0]}), 2),
+    "q-not-numbers": (state(q=("a", 0.0, 0.0)), 2),
+    "q-nan": (state(q=(float("nan"), 0.0, 0.0)), 2),
+    "q-infinite": (state(q=(float("inf"), 0.0, 0.0)), 2),
+    "q-zero": (state(q=(0.0, 0.0, 0.0)), 2),
+    "p-nan": (state(p=(0.0, float("nan"), 0.0)), 2),
+    "newton-max-iter-one-at-h-half": (
+        dict(SIMULATE, step={"h": 0.5}, newton={"max_iter": 1}), 1),
+    "fast-spin-at-h-one": (dict(SIMULATE, step={"h": 1.0}, **state(p=(0.0, 50.0, 0.0))), 1),
+}
+
+
+@pytest.mark.parametrize("overrides, code", list(REJECTED.values()), ids=list(REJECTED))
+def test_rejected_run_prints_one_error_and_writes_nothing(tmp_path, capsys, overrides, code):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()

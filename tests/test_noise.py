@@ -22,6 +22,20 @@ def test_non_power_of_two_rejected():
         sv.generate(0, 1, 1, 1000)
 
 
+@pytest.mark.parametrize(
+    "seed, num_paths, num_channels",
+    [(1.9, 2, 1), (-1, 2, 1), ("1", 2, 1), (True, 2, 1), (1, 2.7, 1), (1, 0, 1), (1, 2, 1.0)],
+)
+def test_malformed_seed_or_count_rejected_at_call(seed, num_paths, num_channels):
+    with pytest.raises(ValueError):
+        sv.generate(seed, num_paths, num_channels, 16)
+
+
+def test_numpy_integer_seed_and_counts_accepted():
+    a = sv.generate(np.int64(5), np.int32(2), np.int64(1), 16).increments
+    assert np.array_equal(a, sv.generate(5, 2, 1, 16).increments)
+
+
 def test_increment_variance_matches_step():
     # About 10^6 draws at h = 2^-10: the sample variance estimator has
     # relative standard error sqrt(2/(N-1)); stay within 3 of those, and

@@ -142,7 +142,8 @@ def test_simulate_path_attaches_step_index_to_errors(pendulum):
     cfg = sv.NewtonConfig(tol_residual=1e-30, max_iter=2)
     with pytest.raises(NoConvergence) as info:
         sv.simulate_path(pendulum, "rattle", X0, h=0.1, num_steps=3, config=cfg)
-    assert "step 0" in str(info.value)
+    assert "step 0 of 3" in str(info.value)
+    assert "h = 0.1" in str(info.value)
 
 
 def test_simulate_path_rejects_mismatched_resolution(pendulum):
