@@ -54,6 +54,8 @@ from .stochastic import make_stepper, simulate_path
 
 __all__ = ["run", "main", "load_config"]
 
+_MAX_STEPS = 2**31  # a trajectory this long would not fit in memory anyway
+
 _TOP_KEYS = {
     "model", "integrator", "initial_state", "horizon", "step", "noise", "study",
     "observable", "newton", "output_dir", "_manifest",
@@ -194,7 +196,10 @@ def _resolve(config):
             one_step = {"seed": noise.get("seed", 0), "paths": 1, "base_steps": 1}
             args["paths"] = _noise_paths(one_step, system.num_noise, (0.0, h))
         return resolved, args
-    num_steps = args["num_steps"] = int(round((t1 - t0) / h))
+    steps = (t1 - t0) / h
+    if not steps <= _MAX_STEPS:  # also catches an overflow to infinity
+        raise ConfigInvalid(f"step h = {h} gives {steps:.3g} steps, more than {_MAX_STEPS}")
+    num_steps = args["num_steps"] = int(round(steps))
     if abs(num_steps * h - (t1 - t0)) > 1e-9:
         raise ConfigInvalid(f"step h = {h} does not divide the horizon length {t1 - t0}")
     if stochastic:

@@ -407,10 +407,13 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         grads = np.stack([dg(Q) for dg in system.dgamma_dq], axis=-2)
         return np.einsum("...m,...smn->...sn", dW, grads)
 
+    # The batch shape comes from u, not from q: the finite-difference
+    # Jacobian stacks its perturbed columns on an added leading axis.
     def assemble(u):
-        V = u[..., : s * n].reshape(batch + (s, n))
-        lam = u[..., s * n :].reshape(batch + (s - 1, k))
-        lam_full = np.concatenate([lam, np.zeros(batch + (1, k))], axis=-2)
+        lead = u.shape[:-1]
+        V = u[..., : s * n].reshape(lead + (s, n))
+        lam = u[..., s * n :].reshape(lead + (s - 1, k))
+        lam_full = np.concatenate([lam, np.zeros(lead + (1, k))], axis=-2)
         Q = q[..., None, :] + h * np.einsum("ij,...jn->...in", a, V)
         forces = system.dL_dq(Q, V) + _apply(_gt(system.dg_dq(Q)), lam_full)
         return V, lam, Q, forces
@@ -425,8 +428,9 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         if with_noise:
             r1 = r1 - np.einsum("ij,...jn->...in", stage_noise_w, stage_sigma(Q))
         r2 = system.constraint(Q[..., 1:, :])
+        lead = u.shape[:-1]
         return np.concatenate(
-            [r1.reshape(batch + (s * n,)), r2.reshape(batch + ((s - 1) * k,))],
+            [r1.reshape(lead + (s * n,)), r2.reshape(lead + ((s - 1) * k,))],
             axis=-1,
         )
 
@@ -436,7 +440,7 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
              np.zeros(batch + ((s - 1) * k,))],
             axis=-1,
         )
-    sol = newton_solve(residual, warm, cfg)
+    sol = newton_solve(residual, warm, cfg, stacked_fd=True)
     V, lam, Q, forces = assemble(sol.x)
     q_next = q + h * np.einsum("j,...jn->...n", b, V)
     p_hat = p + h * np.einsum("j,...jn->...n", b, forces)

@@ -50,15 +50,18 @@ def _inf_norm(r):
     return np.abs(r, order="F").max(axis=-1)
 
 
-def _fd_jacobian(F, x, Fx):
+def _fd_jacobian(F, x, Fx, stacked=False):
+    """Forward differences: column j is (F(x + step_j e_j) - Fx) / step_j
+    with step_j = eps (1 + |x_j|).  The d perturbed copies are built as one
+    (d,) + x.shape array; F sees that stack in one call when ``stacked``,
+    otherwise one copy per call."""
     d = x.shape[-1]
-    J = np.empty(x.shape + (d,))
-    for j in range(d):
-        step = _FD_JACOBIAN_EPS * (1.0 + np.abs(x[..., j]))
-        xp = x.copy()
-        xp[..., j] += step
-        J[..., :, j] = (F(xp) - Fx) / step[..., None]
-    return J
+    step = np.moveaxis(_FD_JACOBIAN_EPS * (1.0 + np.abs(x)), -1, 0)
+    columns = np.arange(d)
+    xp = np.broadcast_to(x, (d,) + x.shape).copy()
+    xp[columns, ..., columns] += step
+    Fp = F(xp) if stacked else np.stack([F(xj) for xj in xp])
+    return np.moveaxis((Fp - Fx) / step[..., None], 0, -1)
 
 
 def _solve_linear(J, r):
@@ -71,7 +74,7 @@ def _solve_linear(J, r):
     return delta
 
 
-def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
+def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> NewtonResult:
     """Solve F(x) = 0 with damped Newton iteration.
 
     Parameters
@@ -81,6 +84,11 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
     config : NewtonConfig, defaults to the module default.
     jacobian : optional callable returning (..., d, d); finite differences
         are used when omitted.
+    stacked_fd : declares that F also maps (d, ..., d) arrays to
+        (d, ..., d), one added leading axis.  The finite-difference
+        Jacobian then evaluates all d perturbed columns in one call of F;
+        by default it calls F once per column with x0's shape.  The
+        Jacobian is the same either way.
 
     Stops when the per-element infinity norm of the residual is at or below
     ``tol_residual``.  Full steps are halved (up to 30 times, per element)
@@ -102,7 +110,7 @@ def newton_solve(F, x0, config=None, jacobian=None) -> NewtonResult:
         if np.all(converged):
             iterations -= 1
             break
-        J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx)
+        J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx, stacked_fd)
         delta = _solve_linear(J, Fx)
         alpha = np.ones(norm.shape)
         accepted = converged

@@ -126,17 +126,24 @@ class TableauMap(dict):
 
 
 def builtin_tableaux() -> TableauMap:
-    """The three tableaux shipped with the package.
+    """The four tableaux shipped with the package.
 
     ``rattle_trapezoidal`` is the two-stage implicit trapezoidal rule behind
-    RATTLE and is admissible.  ``euler_a`` and ``implicit_euler`` generate
-    the two first-order variational Euler schemes; they violate the
-    admissibility condition (b_2 = 0, resp. a_11 != 0) and are integrated
-    through their dedicated step functions instead.
+    RATTLE and is admissible.  ``lobatto_iiia_3`` is the three-stage
+    Lobatto IIIA method (nodes 0, 1/2, 1), admissible and of deterministic
+    order four (Jay, SIAM J. Numer. Anal. 33, 1996).  ``euler_a`` and
+    ``implicit_euler`` generate the two first-order variational Euler
+    schemes; they violate the admissibility condition (b_2 = 0, resp.
+    a_11 != 0) and are integrated through their dedicated step functions
+    instead.
     """
     return TableauMap(
         rattle_trapezoidal=ButcherTableau(
             a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5]
+        ),
+        lobatto_iiia_3=ButcherTableau(
+            a=[[0.0, 0.0, 0.0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
+            b=[1 / 6, 2 / 3, 1 / 6],
         ),
         euler_a=ButcherTableau(a=[[0.0, 0.0], [1.0, 0.0]], b=[1.0, 0.0]),
         implicit_euler=ButcherTableau(a=[[1.0]], b=[1.0]),

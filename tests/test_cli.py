@@ -349,6 +349,8 @@ REJECTED = {
     "h-zero": (dict(SIMULATE, step={"h": 0}), 2),
     "h-negative": (dict(SIMULATE, step={"h": -0.0625}), 2),
     "h-not-dividing-horizon": (dict(SIMULATE, step={"h": 0.3}), 2),
+    "h-subnormal-step-count-overflows": (dict(SIMULATE, step={"h": 5e-324}), 2),
+    "h-tiny-step-count-too-large": (dict(SIMULATE, step={"h": 1e-12}), 2),
     "h-ladder-to-simulate": (dict(SIMULATE, step={"h_ladder": [0.25, 0.125, 0.0625]}), 2),
     "h-to-strong-order": ({"step": {"h": 0.0625}}, 2),
     "horizon-reversed": (dict(SIMULATE, horizon={"start": 1.0, "end": 0.0}), 2),

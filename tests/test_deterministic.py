@@ -261,6 +261,22 @@ def test_rattle_global_order_two(pendulum_quiet):
     assert 1.8 <= slope <= 2.2
 
 
+def test_lobatto_iiia_3_global_order_four_on_the_manifold(pendulum_quiet):
+    # One reference at h = 2^-8 for the ladder 2^-2 .. 2^-5 on [0, 1].
+    method = {"method": "vprk", "tableau": "lobatto_iiia_3"}
+    x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.4, 0.3]))
+    ref = sv.simulate_path(pendulum_quiet, method, x0, h=2.0**-8, num_steps=2**8)
+    hs = [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5]
+    errors = []
+    for h in hs:
+        traj = sv.simulate_path(pendulum_quiet, method, x0, h=h, num_steps=int(1 / h))
+        errors.append(np.max(np.abs(np.concatenate([traj.q[-1] - ref.q[-1],
+                                                    traj.p[-1] - ref.p[-1]]))))
+        assert np.max(traj.constraint) <= 1e-9 and np.max(traj.hidden) <= 1e-9
+    slope, _ = sv.fit_loglog_slope(hs, errors)
+    assert 3.5 <= slope <= 4.5
+
+
 @pytest.mark.parametrize("method", ["euler_a", "euler_b"])
 def test_euler_projected_global_order_one(pendulum_quiet, method):
     x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.zeros(3))

@@ -151,3 +151,76 @@ def test_schur_non_finite_raises_rank_deficient(k):
     G[0, 1] = np.nan
     with pytest.raises(RankDeficient):
         sv.schur_multiplier_solve(np.eye(3), G, np.zeros(3), np.zeros(k))
+
+
+@pytest.mark.parametrize("stacked_fd", [False, True])
+def test_fd_jacobian_calls_F_stacked_only_when_declared(stacked_fd):
+    # By default F may accept only x0's own shape (here a (5, 4) batch);
+    # stacked_fd=True declares that it also takes the 4 perturbed columns
+    # at once, and the Jacobian, hence the iterates, stay bitwise the same.
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    x0 = rng.standard_normal((5, 4))
+    shapes = []
+
+    def F(x):
+        shapes.append(x.shape)
+        return np.einsum("ij,...j->...i", A, x) + np.sin(x)
+
+    res = sv.newton_solve(F, x0, stacked_fd=stacked_fd)
+    reference = sv.newton_solve(lambda x: np.einsum("ij,...j->...i", A, x) + np.sin(x), x0)
+    assert np.array_equal(res.x, reference.x)
+    stacked = [shape for shape in shapes if shape != x0.shape]
+    assert stacked == ([(4, 5, 4)] * res.iterations if stacked_fd else [])
+
+
+def _vprk_step_inputs(shape, noisy):
+    rng = np.random.default_rng(17)
+    q = rng.standard_normal(shape + (3,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    v = rng.standard_normal(shape + (3,))
+    v -= np.sum(v * q, axis=-1, keepdims=True) * q
+    dW = 0.3 * rng.standard_normal(shape + (3,)) if noisy else None
+    return sv.State(q=q, p=v), dW
+
+
+@pytest.mark.parametrize("tableau", ["rattle_trapezoidal", "lobatto_iiia_3"])
+@pytest.mark.parametrize("shape", [(), (1,), (32,), (4, 8)], ids=str)
+@pytest.mark.parametrize("noisy", [False, True], ids=["vprk", "stochastic_vprk"])
+def test_vprk_stacked_fd_jacobian_is_bitwise_the_per_column_one(
+    pendulum, monkeypatch, tableau, shape, noisy
+):
+    from svpark import deterministic, solver
+
+    tab = sv.builtin_tableaux()[tableau]
+    x, dW = _vprk_step_inputs(shape, noisy)
+
+    def step():
+        if noisy:
+            return sv.stochastic_vprk_step(pendulum, tab, None, x, dW, 0.125)
+        return sv.vprk_step(pendulum, tab, x, 0.125)
+
+    stacked = step()
+    calls = []
+
+    def per_column(F, x0, config=None, jacobian=None, *, stacked_fd=False):
+        assert stacked_fd and jacobian is None
+        calls.append((F, x0))
+        return solver.newton_solve(F, x0, config)
+
+    monkeypatch.setattr(deterministic, "newton_solve", per_column)
+    columns = step()
+    (F, x0), = calls
+    for u in (x0, columns.warm):
+        Fu = F(u)
+        assert np.array_equal(
+            solver._fd_jacobian(F, u, Fu, stacked=True), solver._fd_jacobian(F, u, Fu)
+        )
+    assert stacked.newton_iters == columns.newton_iters
+    for a, b in [
+        (stacked.state.q, columns.state.q), (stacked.state.p, columns.state.p),
+        (stacked.stages.Q, columns.stages.Q), (stacked.stages.V, columns.stages.V),
+        (stacked.stages.Lambda, columns.stages.Lambda), (stacked.velocity, columns.velocity),
+        (stacked.warm, columns.warm),
+    ]:
+        assert a.shape == b.shape and np.array_equal(a, b)

@@ -196,10 +196,12 @@ def test_simulate_path_vprk_records_flattened_multipliers(pendulum):
     # _vprk_core returns stage multipliers of shape (s - 1, k) next to a
     # last multiplier of shape (k,); the recorder flattens both.
     paths = sv.generate(2, 1, 3, 2**4, horizon=(0.0, 1.0))
-    traj = sv.simulate_path(pendulum, "stochastic_vprk", X0, sv.coarsen(paths, 1))
-    assert len(traj.multipliers) == 2**4
-    assert traj.multipliers[0].shape == (2,)
-    assert np.max(traj.constraint) <= 1e-10 and np.max(traj.hidden) <= 1e-10
+    for tableau, s in (("rattle_trapezoidal", 2), ("lobatto_iiia_3", 3)):
+        method = {"method": "stochastic_vprk", "tableau": tableau}
+        traj = sv.simulate_path(pendulum, method, X0, sv.coarsen(paths, 1))
+        assert len(traj.multipliers) == 2**4
+        assert traj.multipliers[0].shape == (s,)
+        assert np.max(traj.constraint) <= 1e-10 and np.max(traj.hidden) <= 1e-10
 
 
 def test_stochastic_vprk_strong_order_against_reference_scheme(pendulum):

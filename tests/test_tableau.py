@@ -52,8 +52,10 @@ def test_check_is_pure_and_idempotent():
 
 def test_builtin_names_and_coefficients():
     tabs = sv.builtin_tableaux()
-    assert set(tabs) == {"rattle_trapezoidal", "euler_a", "implicit_euler"}
+    assert set(tabs) == {"rattle_trapezoidal", "lobatto_iiia_3", "euler_a", "implicit_euler"}
     assert np.allclose(tabs["rattle_trapezoidal"].b, [0.5, 0.5])
+    assert np.allclose(tabs["lobatto_iiia_3"].c, [0.0, 0.5, 1.0])
+    assert sv.check_admissibility(tabs["lobatto_iiia_3"]).satisfied
     assert tabs["euler_a"].a[1, 0] == 1.0
     assert tabs["implicit_euler"].a[0, 0] == 1.0
 
