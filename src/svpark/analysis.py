@@ -16,8 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.stats import linregress
 
 from .exceptions import (
     LadderTooShort,
@@ -25,7 +23,7 @@ from .exceptions import (
     StatisticallyInconclusive,
 )
 from .deterministic import project_state
-from .model import State, legendre_velocity
+from .model import State, constraint_residual, hidden_residual, legendre_velocity
 from .noise import coarsen_array
 from .solver import DEFAULT_NEWTON
 from .stochastic import integrate, make_stepper
@@ -45,6 +43,23 @@ __all__ = [
 DEFAULT_BLOCK_SIZE = 512
 
 
+def _linregress_slope(x, y):
+    """Slope and its standard error, computed as ``scipy.stats.linregress``
+    computes them, operation for operation, so the results are bitwise
+    equal; scipy.stats alone would take most of svpark's import time."""
+    if np.amax(x) == np.amin(x) and len(x) > 1:
+        raise ValueError("cannot fit a slope: all step sizes are equal")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    if len(x) == 2:
+        return float(slope), 0.0
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
+
+
 def fit_loglog_slope(step_sizes, errors, point_stderr=None):
     """Least-squares slope of log2(error) against log2(h), with its stderr.
 
@@ -56,15 +71,14 @@ def fit_loglog_slope(step_sizes, errors, point_stderr=None):
     replicates.
     """
     x = np.log2(step_sizes)
-    fit = linregress(x, np.log2(np.asarray(errors, dtype=float)))
-    stderr = float(fit.stderr)
+    slope, stderr = _linregress_slope(x, np.log2(np.asarray(errors, dtype=float)))
     if point_stderr is not None:
         rel = np.asarray(point_stderr, dtype=float) / np.asarray(errors, dtype=float)
         sigma_log = rel / np.log(2.0)
         weights = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
         propagated = float(np.sqrt(np.sum(weights**2 * sigma_log**2)))
         stderr = max(stderr, propagated)
-    return float(fit.slope), stderr
+    return slope, stderr
 
 
 @dataclass
@@ -331,6 +345,9 @@ def _tangent_darboux_basis(system, x0: State, config):
     d = n - k
     J = _canonical_J(n)
     S = K.T @ J @ K
+    # Imported here: scipy.linalg takes about 0.3 s to import and only this check needs it.
+    from scipy.linalg import schur
+
     T, Z = schur(S, output="real")
     us, ws = [], []
     for i in range(d):
@@ -366,8 +383,6 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
     """
     cfg = config or DEFAULT_NEWTON
     q0, p0 = x0.q, x0.p
-    from .model import constraint_residual, hidden_residual
-
     if max(constraint_residual(system, q0), hidden_residual(system, q0, p=p0)) > 1e-9:
         raise ValueError("x0 must lie on the phase manifold")
     if callable(step):

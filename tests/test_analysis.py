@@ -19,6 +19,40 @@ def test_slope_fit_recovers_synthetic_order():
         assert stderr <= 1e-6
 
 
+def test_slope_fit_is_bitwise_scipy_linregress():
+    from scipy.stats import linregress
+
+    rng = np.random.default_rng(2024)
+    for n in range(3, 9):
+        for _ in range(50):
+            first = rng.integers(0, 6)
+            hs = 2.0 ** -np.arange(first, first + n)
+            errors = rng.uniform(0.1, 3.0) * hs ** rng.uniform(0.3, 2.5)
+            errors *= np.exp(rng.normal(0.0, 0.3, n))
+            fit = linregress(np.log2(hs), np.log2(errors))
+            assert sv.fit_loglog_slope(hs, errors) == (float(fit.slope), float(fit.stderr))
+
+
+def test_slope_fit_degenerate_ladders_follow_scipy():
+    hs = 2.0 ** -np.arange(2, 7)
+    assert sv.fit_loglog_slope(hs[:2], [0.3, 0.2])[1] == 0.0
+    assert sv.fit_loglog_slope(hs, hs**2) == (2.0, 0.0)
+    slope, stderr = sv.fit_loglog_slope(hs, np.full(5, 0.25))
+    assert slope == 0.0 and np.isnan(stderr)
+    with pytest.raises(ValueError):
+        sv.fit_loglog_slope(np.full(5, 0.25), hs)
+
+
+def test_slope_fit_reports_the_larger_stderr():
+    hs = 2.0 ** -np.arange(2, 7)
+    errors = hs * np.array([1.0, 1.1, 0.9, 1.05, 1.0])
+    slope, residual = sv.fit_loglog_slope(hs, errors)
+    tiny = sv.fit_loglog_slope(hs, errors, point_stderr=1e-9 * errors)
+    large = sv.fit_loglog_slope(hs, errors, point_stderr=0.5 * errors)
+    assert tiny == (slope, residual)
+    assert large[0] == slope and large[1] > residual
+
+
 def test_report_requires_three_points():
     with pytest.raises(LadderTooShort):
         sv.ConvergenceReport.from_errors([0.1, 0.05], [1.0, 0.5], 1)

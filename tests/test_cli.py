@@ -169,6 +169,27 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").is_file()
 
 
+def test_import_loads_no_scipy():
+    """scipy.stats and scipy.linalg cost about 1 s of import time; only
+    symplecticity_check loads scipy.linalg, on its first call."""
+    import os
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [_sys.executable, "-c",
+         "import sys, svpark, svpark.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_base_steps_mismatch_rejected(tmp_path):
     config = write_config(
         tmp_path, noise={"seed": 1, "num_paths": 4, "base_steps": 64}
