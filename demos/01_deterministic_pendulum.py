@@ -21,10 +21,9 @@ print("long run: 20000 steps at h = 1e-3")
 print(f"{'method':<10} {'max |g|':>10} {'max |dg.v|':>11} {'energy range':>24}")
 for method in ("rattle", "euler_a", "euler_b"):
     traj = sv.simulate_path(system, method, x0, h=1e-3, num_steps=20_000)
-    metrics = sv.drift_metrics(traj)
-    e = metrics.energy_series
+    e = traj.energy
     print(
-        f"{method:<10} {metrics.max_constraint:>10.2e} {metrics.max_hidden:>11.2e}"
+        f"{method:<10} {traj.constraint.max():>10.2e} {traj.hidden.max():>11.2e}"
         f"   [{e.min():+.6f}, {e.max():+.6f}]"
     )
 

@@ -17,17 +17,15 @@ x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.zeros(3))
 
 paths = sv.generate(seed=2024, num_paths=1, num_channels=3, base_steps=2**10,
                     horizon=(0.0, 4.0))
-view = sv.coarsen(paths, 1)
 
-variational = sv.simulate_path(system, "stochastic_variational_euler", x0, view, 0)
-reference = sv.simulate_path(system, "euler_maruyama_ref", x0, view, 0)
+variational = sv.simulate_path(system, "stochastic_variational_euler", x0, paths)
+reference = sv.simulate_path(system, "euler_maruyama_ref", x0, paths)
 
-print(f"h = {view.h:.5f}, {view.num_steps} steps, same Brownian path")
+print(f"h = {paths.h_base:.5f}, {paths.base_steps} steps, same Brownian path")
 print(f"{'scheme':<28} {'max |g|':>10} {'max |dg.v|':>11} {'final height':>13}")
 for name, traj in (("variational Euler", variational), ("Euler-Maruyama", reference)):
-    m = sv.drift_metrics(traj)
     print(
-        f"{name:<28} {m.max_constraint:>10.2e} {m.max_hidden:>11.2e}"
+        f"{name:<28} {traj.constraint.max():>10.2e} {traj.hidden.max():>11.2e}"
         f" {traj.q[-1, 2]:>13.5f}"
     )
 

@@ -62,7 +62,7 @@ from .reduction import (
     projection_matrices,
     reduced_drift_diffusion,
 )
-from .noise import BrownianPaths, IncrementView, coarsen, coarsen_array, generate
+from .noise import BrownianPaths, coarsen_array, generate
 from .stochastic import (
     Stepper,
     StochasticQuadrature,
@@ -77,10 +77,8 @@ from .stochastic import (
 )
 from .analysis import (
     ConvergenceReport,
-    DriftMetrics,
     StrongErrorResult,
     WeakErrorResult,
-    drift_metrics,
     fit_loglog_slope,
     strong_error_study,
     symplecticity_check,

@@ -1,4 +1,4 @@
-"""Convergence-order estimation, symplecticity checking and drift metrics.
+"""Convergence-order estimation and symplecticity checking.
 
 Strong and weak orders are measured on shared Brownian paths: every step
 size in the ladder consumes dyadic coarsenings of one fine increment
@@ -32,12 +32,10 @@ __all__ = [
     "ConvergenceReport",
     "StrongErrorResult",
     "WeakErrorResult",
-    "DriftMetrics",
     "fit_loglog_slope",
     "strong_error_study",
     "weak_error_study",
     "symplecticity_check",
-    "drift_metrics",
 ]
 
 DEFAULT_BLOCK_SIZE = 512
@@ -131,20 +129,11 @@ class WeakErrorResult:
     mc_stderr: np.ndarray
 
 
-@dataclass
-class DriftMetrics:
-    max_constraint: float
-    max_hidden: float
-    energy_series: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Shared-path sweep
 
 
-def _validate_ladder(paths, h_ladder, T, ref_refine):
-    if T is not None and abs(T - (paths.t1 - paths.t0)) > 1e-12 * max(1.0, abs(T)):
-        raise ValueError("horizon does not match the path ensemble")
+def _validate_ladder(paths, h_ladder, ref_refine):
     h_ladder = sorted(set(float(h) for h in h_ladder), reverse=True)
     if len(h_ladder) < 3:
         raise LadderTooShort(f"need at least 3 distinct step sizes, got {len(h_ladder)}")
@@ -171,14 +160,14 @@ def _validate_ladder(paths, h_ladder, T, ref_refine):
     return h_ladder, factors
 
 
-def _sweep(system, method, x0, paths, h_ladder, T, ref_refine, config, block_size):
+def _sweep(system, method, x0, paths, h_ladder, ref_refine, config, block_size):
     """Validate the ladder, then integrate the paths block by block.
 
     For each block yields (None, q, p) with the reference endpoints at the
     paths' base resolution, then (h, q, p) for every ladder rung, coarsest
     first; the rungs consume dyadic coarsenings of the block's increments.
     """
-    h_ladder, factors = _validate_ladder(paths, h_ladder, T, ref_refine)
+    h_ladder, factors = _validate_ladder(paths, h_ladder, ref_refine)
 
     def endpoints(increments, h):
         for result, _ in integrate(
@@ -200,7 +189,6 @@ def strong_error_study(
     x0: State,
     paths,
     h_ladder,
-    T=None,
     ref_refine=64,
     config=None,
     block_size=DEFAULT_BLOCK_SIZE,
@@ -217,7 +205,7 @@ def strong_error_study(
     sums = defaultdict(lambda: np.zeros(3))         # sum ||dq||^2, ||dp||^2, pooled
     sumsq_pooled = defaultdict(float)
     for h, q, p in _sweep(
-        system, method, x0, paths, h_ladder, T, ref_refine, cfg, block_size
+        system, method, x0, paths, h_ladder, ref_refine, cfg, block_size
     ):
         if h is None:
             q_ref, p_ref = q, p
@@ -251,7 +239,6 @@ def weak_error_study(
     paths,
     h_ladder,
     observable,
-    T=None,
     ref_refine=64,
     config=None,
     block_size=DEFAULT_BLOCK_SIZE,
@@ -269,7 +256,7 @@ def weak_error_study(
     sum_d = defaultdict(float)
     sum_d2 = defaultdict(float)
     for h, q, p in _sweep(
-        system, method, x0, paths, h_ladder, T, ref_refine, cfg, block_size
+        system, method, x0, paths, h_ladder, ref_refine, cfg, block_size
     ):
         phi = np.asarray(observable(q, p), dtype=float)
         if h is None:
@@ -408,16 +395,3 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
             cols.append(np.concatenate([ys.q, ys.p]))
         D[:, i] = (cols[0] - cols[1]) / (2 * eps)
     return float(np.max(np.abs(D.T @ J @ D - omega)))
-
-
-# ---------------------------------------------------------------------------
-# Drift metrics
-
-
-def drift_metrics(trajectory) -> DriftMetrics:
-    """Constraint, hidden-constraint and energy series of a trajectory."""
-    return DriftMetrics(
-        max_constraint=float(np.max(trajectory.constraint)),
-        max_hidden=float(np.max(trajectory.hidden)),
-        energy_series=np.array(trajectory.energy),
-    )

@@ -40,15 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    _validate_ladder, drift_metrics, strong_error_study, symplecticity_check, weak_error_study
-)
+from .analysis import _validate_ladder, strong_error_study, symplecticity_check, weak_error_study
 from .deterministic import project_state
 from .exceptions import (
     ConfigInvalid, InvalidResolution, LadderTooShort, NameNotFound, SvparkError
 )
 from .model import State, builtin_models, constraint_residual, energy, hidden_residual
-from .noise import _is_count, coarsen, generate
+from .noise import _is_count, generate
 from .solver import NewtonConfig
 from .stochastic import make_stepper, simulate_path
 
@@ -177,7 +175,7 @@ def _resolve(config):
         ref_refine = step.setdefault("ref_refine", 64)
         paths = _noise_paths(noise, system.num_noise, (t0, t1))
         try:
-            _validate_ladder(paths, ladder, None, ref_refine)
+            _validate_ladder(paths, ladder, ref_refine)
         except (LadderTooShort, ValueError, TypeError) as err:
             raise ConfigInvalid(f"step: {err}") from None
         args.update(paths=paths, ladder=ladder, ref_refine=ref_refine)
@@ -207,7 +205,6 @@ def _resolve(config):
         paths = args["paths"] = _noise_paths(noise, system.num_noise, (t0, t0 + base * h))
         if paths.base_steps < num_steps:
             raise ConfigInvalid("noise base_steps too small for the requested horizon")
-        args["factor"] = paths.base_steps // base
     return resolved, args
 
 
@@ -215,22 +212,18 @@ def _resolve(config):
 # Phase 2: one function per study, each returning (header, rows, summary lines)
 
 
-def _trajectory(system, method, x0, config, h, num_steps, paths=None, factor=None):
-    view = coarsen(paths, factor) if paths is not None else None
-    traj = simulate_path(
-        system, method, x0, view, path_index=0, h=h, num_steps=num_steps, config=config
-    )
+def _trajectory(system, method, x0, config, h, num_steps, paths=None):
+    traj = simulate_path(system, method, x0, paths, h=h, num_steps=num_steps, config=config)
     coordinates = [f"{x}{i + 1}" for x in "qp" for i in range(system.dim_q)]
     header = ["t", *coordinates, "constraint", "hidden", "energy"]
     rows = np.column_stack(
         [traj.times, traj.q, traj.p, traj.constraint, traj.hidden, traj.energy]
     )
-    metrics = drift_metrics(traj)
     return header, rows, [
         f"steps: {num_steps}  h: {_fmt(h)}",
-        f"max |g|: {metrics.max_constraint:.6e}",
-        f"max hidden residual: {metrics.max_hidden:.6e}",
-        f"energy drift: {metrics.energy_series[-1] - metrics.energy_series[0]:.6e}",
+        f"max |g|: {traj.constraint.max():.6e}",
+        f"max hidden residual: {traj.hidden.max():.6e}",
+        f"energy drift: {traj.energy[-1] - traj.energy[0]:.6e}",
     ]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, legendre_velocity
+from .model import State, legendre_velocity, noise_gradients
 from .solver import DEFAULT_NEWTON, newton_solve, schur_multiplier_solve
 from .exceptions import NoConvergence, RankDeficient
 from .tableau import ButcherTableau, check_admissibility
@@ -404,8 +404,7 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         v = legendre_velocity(system, q, p, cfg)
 
     def stage_sigma(Q):
-        grads = np.stack([dg(Q) for dg in system.dgamma_dq], axis=-2)
-        return np.einsum("...m,...smn->...sn", dW, grads)
+        return np.einsum("...m,...smn->...sn", dW, noise_gradients(system, Q))
 
     # The batch shape comes from u, not from q: the finite-difference
     # Jacobian stacks its perturbed columns on an added leading axis.

@@ -223,26 +223,13 @@ class ValidationReport:
         return {k: v for k, v in self.max_errors.items() if v > self.tolerance}
 
 
-def _central_q(f, q, v, eps):
-    """Central-difference Jacobian of f(q[, v]) in q; f maps to (...,) or (..., r)."""
-    n = q.shape[-1]
+def _central(f, x, eps):
+    """Central-difference Jacobian of f at x; f maps (..., n) to (...,) or (..., r)."""
     cols = []
-    for j in range(n):
-        dq = np.zeros_like(q)
-        dq[..., j] = eps
-        hi = f(q + dq, v) if v is not None else f(q + dq)
-        lo = f(q - dq, v) if v is not None else f(q - dq)
-        cols.append((np.asarray(hi) - np.asarray(lo)) / (2 * eps))
-    return np.stack(cols, axis=-1)
-
-
-def _central_v(f, q, v, eps):
-    n = v.shape[-1]
-    cols = []
-    for j in range(n):
-        dv = np.zeros_like(v)
-        dv[..., j] = eps
-        cols.append((np.asarray(f(q, v + dv)) - np.asarray(f(q, v - dv))) / (2 * eps))
+    for j in range(x.shape[-1]):
+        dx = np.zeros_like(x)
+        dx[..., j] = eps
+        cols.append((np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2 * eps))
     return np.stack(cols, axis=-1)
 
 
@@ -274,11 +261,11 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
         if np.max(np.abs(system.constraint(q))) > 1e-8:
             raise ValueError("validation samples must lie on the constraint set")
         checks = {
-            "dL_dq": (_central_q(system.lagrangian, q, v, eps), system.dL_dq(q, v)),
-            "dL_dv": (_central_v(system.lagrangian, q, v, eps), system.dL_dv(q, v)),
-            "d2L_dv2": (_central_v(system.dL_dv, q, v, eps), system.d2L_dv2(q, v)),
-            "d2L_dqdv": (_central_q(system.dL_dv, q, v, eps), system.d2L_dqdv(q, v)),
-            "dg_dq": (_central_q(system.constraint, q, None, eps), system.dg_dq(q)),
+            "dL_dq": (_central(lambda x: system.lagrangian(x, v), q, eps), system.dL_dq(q, v)),
+            "dL_dv": (_central(lambda x: system.lagrangian(q, x), v, eps), system.dL_dv(q, v)),
+            "d2L_dv2": (_central(lambda x: system.dL_dv(q, x), v, eps), system.d2L_dv2(q, v)),
+            "d2L_dqdv": (_central(lambda x: system.dL_dv(x, v), q, eps), system.d2L_dqdv(q, v)),
+            "dg_dq": (_central(system.constraint, q, eps), system.dg_dq(q)),
         }
         # Second difference of g along v approximates the (v, v)-contracted Hessian.
         e2 = np.sqrt(eps)
@@ -289,7 +276,7 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
         ) / e2**2
         checks["d2g_dq2_vv"] = (second, system.d2g_dq2_vv(q, v))
         for r in range(system.num_noise):
-            fd = _central_q(system.gamma[r], q, None, eps)
+            fd = _central(system.gamma[r], q, eps)
             errors["dgamma_dq"] = max(
                 errors["dgamma_dq"], _rel_err(fd, system.dgamma_dq[r](q))
             )

@@ -4,8 +4,9 @@ Each sample path owns an independent counter-based random stream keyed by
 (master seed, path index), so any contiguous block of paths can be
 generated without touching the others and a blocked computation is bitwise
 identical to a monolithic one.  Increments are stored at the finest
-resolution; coarser resolutions are obtained by summing adjacent pairs,
-repeatedly, so that coarsening by 4 is exactly coarsening by 2 twice.
+resolution; ``coarsen_array`` obtains coarser resolutions by summing
+adjacent pairs, repeatedly, so that coarsening by 4 is exactly coarsening
+by 2 twice.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +17,7 @@ from .exceptions import InvalidResolution
 
 __all__ = [
     "BrownianPaths",
-    "IncrementView",
     "generate",
-    "coarsen",
     "coarsen_array",
     "increment_block",
 ]
@@ -98,43 +97,33 @@ class BrownianPaths:
         )
 
 
-@dataclass
-class IncrementView:
-    """Increments at a coarsened resolution, with their step size."""
-
-    increments: np.ndarray
-    t0: float
-    t1: float
-
-    @property
-    def num_steps(self):
-        return self.increments.shape[-1]
-
-    @property
-    def h(self):
-        return (self.t1 - self.t0) / self.num_steps
-
-
 def generate(seed, num_paths, num_channels, base_steps, horizon=(0.0, 1.0)) -> BrownianPaths:
     """Create a replayable increment ensemble at a power-of-two resolution.
 
+    ``num_paths`` paths of ``num_channels`` Wiener increments each over
+    ``base_steps`` equal steps of ``horizon = (start, end)``.  Nothing is
+    drawn here: ``BrownianPaths.block`` draws a range of paths on demand.
     Deterministic function of the seed: the same arguments always produce
     bitwise-identical increments.  Raises InvalidResolution when
     ``base_steps`` is not a power of two, and ValueError unless ``seed`` is
-    an integer >= 0, ``num_paths`` one >= 1 and ``num_channels`` one >= 0.
+    an integer >= 0, ``num_paths`` one >= 1, ``num_channels`` one >= 0 and
+    the horizon has finite ends with end > start.
     """
     if not _is_power_of_two(base_steps):
         raise InvalidResolution(f"base_steps must be a power of two, got {base_steps}")
     if not (_is_count(seed, 0) and _is_count(num_paths, 1) and _is_count(num_channels, 0)):
         raise ValueError(f"need integers seed >= 0, num_paths >= 1 and num_channels >= 0, "
                          f"got {seed!r}, {num_paths!r} and {num_channels!r}")
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    if not (np.isfinite(t1 - t0) and t1 > t0):  # t1 - t0 is NaN or inf for a NaN or inf end
+        raise ValueError(f"horizon needs finite ends with end > start, got {horizon!r}")
     return BrownianPaths(
         seed=int(seed),
         num_paths=int(num_paths),
         num_channels=int(num_channels),
         base_steps=int(base_steps),
-        t0=float(horizon[0]),
-        t1=float(horizon[1]),
+        t0=t0,
+        t1=t1,
     )
 
 
@@ -142,7 +131,8 @@ def coarsen_array(increments, factor):
     """Sum adjacent groups of ``factor`` increments along the last axis.
 
     Implemented as repeated pairwise summation so that
-    coarsen(coarsen(x, 2), 2) is bitwise equal to coarsen(x, 4).
+    coarsen_array(coarsen_array(x, 2), 2) is bitwise equal to
+    coarsen_array(x, 4).
     """
     steps = increments.shape[-1]
     if not _is_power_of_two(factor):
@@ -154,10 +144,3 @@ def coarsen_array(increments, factor):
         out = out[..., 0::2] + out[..., 1::2]
         factor //= 2
     return out
-
-
-def coarsen(paths, factor) -> IncrementView:
-    """View of a path ensemble (or of another view) at 1/factor the resolution."""
-    return IncrementView(
-        increments=coarsen_array(paths.increments, factor), t0=paths.t0, t1=paths.t1
-    )

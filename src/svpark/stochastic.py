@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import noise
 from .deterministic import (
     StepResult,
     _euler_b_core,
@@ -24,7 +25,9 @@ from .deterministic import (
 from .exceptions import ConditionViolated, ConfigInvalid, NameNotFound
 from .model import (
     State,
+    constraint_residual,
     energy,
+    hidden_residual,
     legendre_velocity,
     noise_gradients,
 )
@@ -289,70 +292,62 @@ def simulate_path(
     system,
     method,
     x0: State,
-    increments=None,
+    paths=None,
     path_index=0,
     h=None,
     num_steps=None,
     config=None,
 ) -> Trajectory:
-    """Integrate one sample path, recording invariants along the way.
+    """Integrate one sample path and record its invariants.
 
-    ``increments`` is an IncrementView (or anything with ``increments`` of
-    shape (paths, channels, steps) plus ``h``); its resolution must match
-    ``h`` when both are given.  Deterministic methods may omit it.  Errors
-    raised by a step are re-raised as ``integrate`` re-raises them.
+    ``paths`` is a BrownianPaths ensemble; only path ``path_index`` is
+    drawn, and it is coarsened to the step ``h`` (default ``paths.h_base``),
+    which must be a power-of-two multiple of ``paths.h_base``.
+    ``num_steps`` defaults to the steps of the coarsened path and may not
+    exceed them.  Deterministic methods may omit ``paths`` and then need
+    ``h`` and ``num_steps``.  The residual and energy series are evaluated
+    once, on the stacked states.  Errors raised by a step are re-raised as
+    ``integrate`` re-raises them.
     """
     cfg = config or DEFAULT_NEWTON
-    inc = None
-    if increments is not None:
-        inc = increments.increments[path_index]
-        h_view = increments.h
+    increments = None
+    if paths is not None:
         if h is None:
-            h = h_view
-        elif abs(h - h_view) > 1e-12 * max(1.0, abs(h_view)):
-            raise ValueError(
-                f"step size {h} does not match increment resolution {h_view}"
-            )
+            h = paths.h_base
+        factor = round(h / paths.h_base)
+        if abs(h / paths.h_base - factor) > 1e-9:
+            raise ValueError(f"step size {h} is not a multiple of the base step {paths.h_base}")
+        # coarsen_array and the increment_block behind block() are looked up in
+        # svpark.noise at call time, so replacing them there (as a profiler
+        # does) reaches this path too.
+        increments = noise.coarsen_array(paths.block(path_index, path_index + 1), factor)[0]
         if num_steps is None:
-            num_steps = inc.shape[-1]
-        elif num_steps > inc.shape[-1]:
+            num_steps = increments.shape[-1]
+        elif num_steps > increments.shape[-1]:
             raise ValueError("num_steps exceeds available increments")
     elif num_steps is None or h is None:
-        raise ValueError("h and num_steps are required without increments")
-
-    n = system.dim_q
-    qs = np.empty((num_steps + 1, n))
-    ps = np.empty((num_steps + 1, n))
-    vs = np.empty((num_steps + 1, n))
-    cons = np.empty(num_steps + 1)
-    hid = np.empty(num_steps + 1)
-    en = np.empty(num_steps + 1)
-    iters = np.zeros(num_steps, dtype=int)
-    multipliers = []
-
-    def record(i, q, p, v):
-        qs[i], ps[i], vs[i] = q, p, v
-        cons[i] = np.max(np.abs(system.constraint(q)))
-        hid[i] = np.max(np.abs(system.dg_dq(q) @ v))
-        en[i] = energy(system, q, p=p, v=v)
+        raise ValueError("h and num_steps are required without paths")
 
     q0 = np.array(x0.q, dtype=float)
     p0 = np.array(x0.p, dtype=float)
-    record(0, q0, p0, legendre_velocity(system, q0, p0, cfg))
-    steps = integrate(system, method, x0, inc, h, num_steps, cfg)
-    for i, (result, v) in enumerate(steps, start=1):
-        iters[i - 1] = result.newton_iters
+    qs, ps, vs = [q0], [p0], [legendre_velocity(system, q0, p0, cfg)]
+    iters, multipliers = [], []
+    for result, v in integrate(system, method, x0, increments, h, num_steps, cfg):
+        qs.append(result.state.q)
+        ps.append(result.state.p)
+        vs.append(v)
+        iters.append(result.newton_iters)
         if result.multipliers:
             multipliers.append(np.concatenate([np.ravel(m) for m in result.multipliers]))
-        record(i, result.state.q, result.state.p, v)
+    q, p, v = np.array(qs), np.array(ps), np.array(vs)
     return Trajectory(
         times=np.arange(num_steps + 1) * h,
-        q=qs,
-        p=ps,
-        v=vs,
-        constraint=cons,
-        hidden=hid,
-        energy=en,
+        q=q,
+        p=p,
+        v=v,
+        constraint=constraint_residual(system, q),
+        hidden=hidden_residual(system, q, v=v),
+        energy=energy(system, q, p=p, v=v),
         multipliers=multipliers,
-        newton_iters=iters,
+        newton_iters=np.array(iters, dtype=int),
     )

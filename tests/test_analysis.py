@@ -212,20 +212,18 @@ def test_drift_metrics_equilibrium_energy(pendulum):
     # q . e3 = -1, and stays exactly constant.
     x0 = sv.State(q=np.array([0.0, 0.0, -1.0]), p=np.zeros(3))
     traj = sv.simulate_path(sv.without_noise(pendulum), "rattle", x0, h=0.01, num_steps=100)
-    metrics = sv.drift_metrics(traj)
-    assert np.allclose(metrics.energy_series, -1.0, atol=1e-12)
-    assert metrics.max_constraint <= 1e-12
+    assert np.allclose(traj.energy, -1.0, atol=1e-12)
+    assert traj.constraint.max() <= 1e-12
 
 
 def test_drift_metrics_long_rattle_run(pendulum_quiet):
     x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.2, 0.0]))
     traj = sv.simulate_path(pendulum_quiet, "rattle", x0, h=1e-3, num_steps=10_000)
-    metrics = sv.drift_metrics(traj)
-    assert metrics.max_constraint <= 1e-9
-    assert metrics.max_hidden <= 1e-9
+    assert traj.constraint.max() <= 1e-9
+    assert traj.hidden.max() <= 1e-9
     # no secular energy trend: linear fit slope per step below 1e-8
-    steps = np.arange(metrics.energy_series.size)
-    slope = np.polyfit(steps, metrics.energy_series, 1)[0]
+    steps = np.arange(traj.energy.size)
+    slope = np.polyfit(steps, traj.energy, 1)[0]
     assert abs(slope) <= 1e-8
 
 
@@ -233,4 +231,4 @@ def test_em_constraint_drift_exceeds_variational(pendulum_quiet):
     x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.5, 0.0]))
     em = sv.simulate_path(pendulum_quiet, "euler_maruyama_ref", x0, h=2.0**-7, num_steps=2**7)
     ra = sv.simulate_path(pendulum_quiet, "rattle", x0, h=2.0**-7, num_steps=2**7)
-    assert sv.drift_metrics(em).max_constraint > 100 * sv.drift_metrics(ra).max_constraint
+    assert em.constraint.max() > 100 * ra.constraint.max()

@@ -265,7 +265,7 @@ def test_ignored_quadrature_input_is_rejected(tmp_path, capsys, quad):
 
 def test_simulate_coarsens_finer_noise(tmp_path):
     # 16 steps on a 32-step Brownian path: every step consumes two base
-    # increments, exactly like simulate_path on a coarsened view.
+    # increments, exactly like simulate_path at twice the base step.
     config = write_config(
         tmp_path,
         study="simulate",
@@ -278,9 +278,33 @@ def test_simulate_coarsens_finer_noise(tmp_path):
     paths = sv.generate(3, 1, 3, 32, horizon=(0.0, 1.0))
     traj = sv.simulate_path(
         sv.spherical_pendulum(), "stochastic_variational_euler",
-        sv.State(q=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0]), sv.coarsen(paths, 2),
+        sv.State(q=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0]), paths, h=0.0625,
     )
     assert [row[1:4] for row in rows] == traj.q.tolist()
+
+
+def test_simulate_draws_only_path_zero(tmp_path, monkeypatch):
+    # A 64-path ensemble integrates path 0 alone: no other path is drawn,
+    # and the trajectory is the one of a 1-path ensemble, byte for byte.
+    drawn = []
+    increment_block = sv.noise.increment_block
+
+    def recorder(seed, path_start, path_stop, *args):
+        drawn.append((path_start, path_stop))
+        return increment_block(seed, path_start, path_stop, *args)
+
+    monkeypatch.setattr(sv.noise, "increment_block", recorder)
+    outputs = []
+    for num_paths in (64, 1):
+        config = write_config(
+            tmp_path, study="simulate", step={"h": 0.0625},
+            noise={"seed": 5, "paths": num_paths, "base_steps": 32},
+        )
+        out = tmp_path / f"out{num_paths}"
+        assert run(config, output_dir=out) == 0
+        outputs.append((out / "trajectory.csv").read_bytes())
+    assert drawn == [(0, 1), (0, 1)]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -52,37 +52,41 @@ def test_increment_variance_matches_step():
 
 def test_coarsen_identity_view():
     paths = sv.generate(9, 3, 2, 16)
-    view = sv.coarsen(paths, 1)
-    assert np.array_equal(view.increments, paths.increments)
-    assert view.h == paths.h_base
+    assert np.array_equal(sv.coarsen_array(paths.increments, 1), paths.increments)
 
 
 def test_coarsen_pairs_sum_exactly():
     paths = sv.generate(9, 3, 2, 16)
-    view = sv.coarsen(paths, 2)
     manual = paths.increments[..., 0::2] + paths.increments[..., 1::2]
-    assert np.array_equal(view.increments, manual)
+    assert np.array_equal(sv.coarsen_array(paths.increments, 2), manual)
 
 
 def test_coarsen_telescopes_to_total_displacement():
     paths = sv.generate(13, 2, 1, 64)
-    total = sv.coarsen(paths, 64).increments[..., 0]
+    total = sv.coarsen_array(paths.increments, 64)[..., 0]
     assert np.allclose(total, paths.increments.sum(axis=-1), atol=1e-14)
 
 
 def test_coarsen_associativity_bitwise():
-    paths = sv.generate(21, 2, 2, 64)
-    twice = sv.coarsen(sv.coarsen(paths, 2), 2)
-    direct = sv.coarsen(paths, 4)
-    assert np.array_equal(twice.increments, direct.increments)
+    increments = sv.generate(21, 2, 2, 64).increments
+    twice = sv.coarsen_array(sv.coarsen_array(increments, 2), 2)
+    assert np.array_equal(twice, sv.coarsen_array(increments, 4))
 
 
 def test_coarsen_invalid_factors():
-    paths = sv.generate(1, 1, 1, 16)
+    increments = sv.generate(1, 1, 1, 16).increments
     with pytest.raises(InvalidResolution):
-        sv.coarsen(paths, 3)
+        sv.coarsen_array(increments, 3)
     with pytest.raises(InvalidResolution):
-        sv.coarsen(paths, 32)
+        sv.coarsen_array(increments, 32)
+
+
+@pytest.mark.parametrize(
+    "horizon", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf)], ids=["reversed", "empty", "infinite"]
+)
+def test_horizon_without_finite_positive_length_rejected(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        sv.generate(1, 1, 1, 16, horizon=horizon)
 
 
 def test_blocks_partition_bitwise():

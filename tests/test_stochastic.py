@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import svpark as sv
-from svpark.exceptions import ConditionViolated, NameNotFound, NoConvergence
+from svpark.exceptions import ConditionViolated, InvalidResolution, NameNotFound, NoConvergence
 from svpark.noise import coarsen_array
 
 from conftest import random_states
@@ -70,9 +70,8 @@ def test_em_reference_drifts_off_manifold(pendulum):
     # violation grows with the horizon, while the variational scheme stays
     # at solver tolerance on the same Brownian path.
     paths = sv.generate(4, 1, 3, 2**6, horizon=(0.0, 1.0))
-    view = sv.coarsen(paths, 1)
-    em = sv.simulate_path(pendulum, "euler_maruyama_ref", X0, view, 0)
-    sve = sv.simulate_path(pendulum, "stochastic_variational_euler", X0, view, 0)
+    em = sv.simulate_path(pendulum, "euler_maruyama_ref", X0, paths, 0)
+    sve = sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 0)
     assert np.max(sve.constraint) <= 1e-10
     assert np.max(em.constraint) > 100 * np.max(sve.constraint)
     assert np.max(em.constraint) > 1e-4
@@ -128,9 +127,7 @@ def test_simulate_path_long_rattle_constraint(pendulum_quiet):
 
 def test_simulate_path_stochastic_smoke(pendulum):
     paths = sv.generate(100, 2, 3, 2**8, horizon=(0.0, 1.0))
-    traj = sv.simulate_path(
-        pendulum, "stochastic_variational_euler", X0, sv.coarsen(paths, 1), 1
-    )
+    traj = sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 1)
     assert traj.q.shape == (2**8 + 1, 3)
     assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.p))
     assert np.max(traj.constraint) <= 1e-10
@@ -147,11 +144,15 @@ def test_simulate_path_attaches_step_index_to_errors(pendulum):
 
 
 def test_simulate_path_rejects_mismatched_resolution(pendulum):
+    # h must be a power-of-two multiple of the base step 1/16.
     paths = sv.generate(1, 1, 3, 2**4, horizon=(0.0, 1.0))
     with pytest.raises(ValueError):
+        sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 0, h=0.1)
+    with pytest.raises(InvalidResolution):
+        sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 0, h=3 / 16)
+    with pytest.raises(ValueError):
         sv.simulate_path(
-            pendulum, "stochastic_variational_euler", X0, sv.coarsen(paths, 1),
-            0, h=0.5,
+            pendulum, "stochastic_variational_euler", X0, paths, 0, h=0.5, num_steps=3
         )
 
 
@@ -178,18 +179,19 @@ def test_quadrature_validation(pendulum):
 
 def test_integrate_broadcasts_and_matches_single_path_runs(pendulum):
     paths = sv.generate(8, 3, 3, 2**5, horizon=(0.0, 1.0))
-    steps = list(
-        sv.integrate(pendulum, "stochastic_variational_euler", X0, paths.increments,
-                     paths.h_base, 2**5)
-    )
-    assert len(steps) == 2**5
-    result, v = steps[-1]
-    assert result.state.q.shape == (3, 3) and v.shape == (3, 3)
-    traj = sv.simulate_path(
-        pendulum, "stochastic_variational_euler", X0, sv.coarsen(paths, 1), 2
-    )
-    assert np.array_equal(traj.q[-1], result.state.q[2])
-    assert np.array_equal(traj.p[-1], result.state.p[2])
+    for factor in (1, 2):
+        h = factor * paths.h_base
+        increments = coarsen_array(paths.increments, factor)
+        steps = list(
+            sv.integrate(pendulum, "stochastic_variational_euler", X0, increments, h,
+                         2**5 // factor)
+        )
+        assert len(steps) == 2**5 // factor
+        result, v = steps[-1]
+        assert result.state.q.shape == (3, 3) and v.shape == (3, 3)
+        traj = sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 2, h=h)
+        assert np.array_equal(traj.q[-1], result.state.q[2])
+        assert np.array_equal(traj.p[-1], result.state.p[2])
 
 
 def test_simulate_path_vprk_records_flattened_multipliers(pendulum):
@@ -198,7 +200,7 @@ def test_simulate_path_vprk_records_flattened_multipliers(pendulum):
     paths = sv.generate(2, 1, 3, 2**4, horizon=(0.0, 1.0))
     for tableau, s in (("rattle_trapezoidal", 2), ("lobatto_iiia_3", 3)):
         method = {"method": "stochastic_vprk", "tableau": tableau}
-        traj = sv.simulate_path(pendulum, method, X0, sv.coarsen(paths, 1))
+        traj = sv.simulate_path(pendulum, method, X0, paths)
         assert len(traj.multipliers) == 2**4
         assert traj.multipliers[0].shape == (s,)
         assert np.max(traj.constraint) <= 1e-10 and np.max(traj.hidden) <= 1e-10
