@@ -7,12 +7,12 @@ finest resolution.  Sharing the paths couples the estimators, which is what
 makes the pathwise (strong) errors meaningful and shrinks the Monte Carlo
 variance of the weak-error estimates by orders of magnitude.
 
-Path ensembles are processed in fixed-size blocks so memory stays bounded;
-because each path owns an independent random stream and the accumulation
-order is fixed, the results do not depend on the blocking.
+Path ensembles are processed in fixed-size blocks so memory stays bounded.
+Each path owns an independent random stream, and the studies reduce the
+per-path samples of all blocks once, concatenated in path order, so their
+results are the same bits for every block size.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +160,11 @@ def _validate_ladder(paths, h_ladder, ref_refine):
     return h_ladder, factors
 
 
-def _sweep(system, method, x0, paths, h_ladder, ref_refine, config, block_size):
-    """Validate the ladder, then integrate the paths block by block.
-
-    For each block yields (None, q, p) with the reference endpoints at the
-    paths' base resolution, then (h, q, p) for every ladder rung, coarsest
-    first; the rungs consume dyadic coarsenings of the block's increments.
+def _collect(system, method, x0, paths, h_ladder, ref_refine, config, block_size, sample):
+    """Validate the ladder; return it, coarsest first, and per rung the samples
+    ``sample(q, p, q_ref, p_ref)`` of all paths, concatenated in path order
+    along the last axis.  Each block is integrated at the paths' base
+    resolution (the reference) and on dyadic coarsenings of its increments.
     """
     h_ladder, factors = _validate_ladder(paths, h_ladder, ref_refine)
 
@@ -176,11 +175,20 @@ def _sweep(system, method, x0, paths, h_ladder, ref_refine, config, block_size):
             pass
         return result.state.q, result.state.p
 
+    chunks = [[] for _ in h_ladder]
     for start in range(0, paths.num_paths, block_size):
         block = paths.block(start, min(start + block_size, paths.num_paths))
-        yield (None, *endpoints(block, paths.h_base))
-        for h, factor in zip(h_ladder, factors):
-            yield (h, *endpoints(coarsen_array(block, factor), h))
+        reference = endpoints(block, paths.h_base)
+        for rung, h, factor in zip(chunks, h_ladder, factors):
+            rung.append(sample(*endpoints(coarsen_array(block, factor), h), *reference))
+    return h_ladder, [np.concatenate(rung, axis=-1) for rung in chunks]
+
+
+def _mean_and_stderr(x):
+    """Mean of the 1-D samples ``x`` and the standard error of that mean."""
+    M = len(x)
+    mean = x.sum() / M
+    return mean, np.sqrt(max(np.sum(x * x) / M - mean**2, 0.0) / max(M - 1, 1))
 
 
 def strong_error_study(
@@ -201,30 +209,22 @@ def strong_error_study(
     separately for position and momentum in the ambient Euclidean norm,
     together with the fitted log-log slopes.
     """
-    cfg = config or DEFAULT_NEWTON
-    sums = defaultdict(lambda: np.zeros(3))         # sum ||dq||^2, ||dp||^2, pooled
-    sumsq_pooled = defaultdict(float)
-    for h, q, p in _sweep(
-        system, method, x0, paths, h_ladder, ref_refine, cfg, block_size
-    ):
-        if h is None:
-            q_ref, p_ref = q, p
-            continue
+
+    def squared_errors(q, p, q_ref, p_ref):
         eq = np.sum((q - q_ref) ** 2, axis=-1)
         ep = np.sum((p - p_ref) ** 2, axis=-1)
-        pooled = eq + ep
-        sums[h] += [eq.sum(), ep.sum(), pooled.sum()]
-        sumsq_pooled[h] += float(np.sum(pooled**2))
-    h_ladder = list(sums)
+        return np.stack([eq, ep, eq + ep])
+
+    h_ladder, samples = _collect(
+        system, method, x0, paths, h_ladder, ref_refine, config, block_size, squared_errors
+    )
     M = paths.num_paths
-    err_q = np.sqrt([sums[h][0] / M for h in h_ladder])
-    err_p = np.sqrt([sums[h][1] / M for h in h_ladder])
+    err_q = np.sqrt([eq.sum() / M for eq, _, _ in samples])
+    err_p = np.sqrt([ep.sum() / M for _, ep, _ in samples])
     pooled_stderr = []
-    for h in h_ladder:
-        mean = sums[h][2] / M
-        var = max(sumsq_pooled[h] / M - mean**2, 0.0) / max(M - 1, 1)
-        rms = np.sqrt(mean)
-        pooled_stderr.append(np.sqrt(var) / (2 * rms) if rms > 0 else 0.0)
+    for _, _, pooled in samples:
+        mean, stderr = _mean_and_stderr(pooled)
+        pooled_stderr.append(stderr / (2 * np.sqrt(mean)) if mean > 0 else 0.0)
     return StrongErrorResult(
         position=ConvergenceReport.from_errors(h_ladder, err_q, M),
         momentum=ConvergenceReport.from_errors(h_ladder, err_p, M),
@@ -245,35 +245,28 @@ def weak_error_study(
 ) -> WeakErrorResult:
     """Error of the observable's ensemble mean against the fine reference.
 
-    ``observable`` maps endpoint arrays (q, p) to scalars and must
-    broadcast over the path batch.  Because the reference shares the
-    Brownian paths, the Monte Carlo standard error reported per ladder
-    point is that of the paired difference, not of two independent means.
-    Raises StatisticallyInconclusive when the largest standard error
-    reaches half the largest weak error.
+    ``observable`` maps endpoint arrays (q, p) to one value per path, an
+    array of shape ``q.shape[:-1]``; any other shape raises ValueError.
+    Because the reference shares the Brownian paths, the Monte Carlo
+    standard error reported per ladder point is that of the paired
+    difference, not of two independent means.  Raises
+    StatisticallyInconclusive when the largest standard error reaches half
+    the largest weak error.
     """
-    cfg = config or DEFAULT_NEWTON
-    sum_d = defaultdict(float)
-    sum_d2 = defaultdict(float)
-    for h, q, p in _sweep(
-        system, method, x0, paths, h_ladder, ref_refine, cfg, block_size
-    ):
-        phi = np.asarray(observable(q, p), dtype=float)
-        if h is None:
-            phi_ref = phi
-            continue
-        d = phi - phi_ref
-        sum_d[h] += float(d.sum())
-        sum_d2[h] += float(np.sum(d * d))
-    h_ladder = list(sum_d)
-    M = paths.num_paths
-    errors = np.array([abs(sum_d[h] / M) for h in h_ladder])
-    stderr = []
-    for h in h_ladder:
-        mean = sum_d[h] / M
-        # standard error of the paired-difference mean: s / sqrt(M)
-        stderr.append(np.sqrt(max(sum_d2[h] / M - mean**2, 0.0) / max(M - 1, 1)))
-    stderr = np.asarray(stderr)
+
+    def phi(q, p):
+        value = np.asarray(observable(q, p), dtype=float)
+        if value.shape != q.shape[:-1]:
+            raise ValueError(f"observable must return shape {q.shape[:-1]}, got {value.shape}")
+        return value
+
+    h_ladder, samples = _collect(
+        system, method, x0, paths, h_ladder, ref_refine, config, block_size,
+        lambda q, p, q_ref, p_ref: phi(q, p) - phi(q_ref, p_ref),
+    )
+    stats = [_mean_and_stderr(d) for d in samples]  # paired differences
+    errors = np.array([abs(mean) for mean, _ in stats])
+    stderr = np.array([s for _, s in stats])
     if errors.max() > 0 and stderr.max() >= 0.5 * errors.max():
         raise StatisticallyInconclusive(
             f"Monte Carlo noise (max stderr {stderr.max():.3e}) dominates the "
@@ -284,7 +277,7 @@ def weak_error_study(
         )
     point_stderr = stderr if np.all(errors > 0) else None
     return WeakErrorResult(
-        report=ConvergenceReport.from_errors(h_ladder, errors, M, point_stderr),
+        report=ConvergenceReport.from_errors(h_ladder, errors, paths.num_paths, point_stderr),
         mc_stderr=stderr,
     )
 

@@ -202,7 +202,8 @@ def _resolve(config):
         raise ConfigInvalid(f"step h = {h} does not divide the horizon length {t1 - t0}")
     if stochastic:
         base = 1 << (num_steps - 1).bit_length()  # the least power of two >= num_steps
-        paths = args["paths"] = _noise_paths(noise, system.num_noise, (t0, t0 + base * h))
+        # Over (0, base * h), h is exactly a power-of-two multiple of the base step.
+        paths = args["paths"] = _noise_paths(noise, system.num_noise, (0.0, base * h))
         if paths.base_steps < num_steps:
             raise ConfigInvalid("noise base_steps too small for the requested horizon")
     return resolved, args

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import svpark as sv
 from svpark.exceptions import LadderTooShort, StatisticallyInconclusive
@@ -92,8 +93,55 @@ def test_strong_study_blocking_is_invariant(pendulum):
         pendulum, "stochastic_variational_euler", X0, paths, ladder,
         ref_refine=16, block_size=7,
     )
-    assert np.allclose(a.position.errors, b.position.errors, rtol=0, atol=1e-14)
-    assert np.allclose(a.momentum.errors, b.momentum.errors, rtol=0, atol=1e-14)
+    assert np.array_equal(a.position.errors, b.position.errors)
+    assert np.array_equal(a.momentum.errors, b.momentum.errors)
+    assert np.array_equal(a.pooled_stderr, b.pooled_stderr)
+    assert (a.position.slope, a.momentum.slope) == (b.position.slope, b.momentum.slope)
+
+
+SMALL_LADDER = [2.0**-2, 2.0**-3, 2.0**-4]
+
+
+def strong_bits(pendulum, paths, block_size):
+    result = sv.strong_error_study(
+        pendulum, "stochastic_variational_euler", X0, paths, SMALL_LADDER,
+        ref_refine=4, block_size=block_size,
+    )
+    reports = (result.position, result.momentum)
+    return np.concatenate(
+        [result.pooled_stderr, *(np.append(r.errors, [r.slope, r.slope_stderr]) for r in reports)]
+    ).tobytes()
+
+
+def weak_bits(pendulum, paths, block_size):
+    # A few paths rarely resolve the weak error; the refusal's numbers count too.
+    try:
+        result = sv.weak_error_study(
+            pendulum, "stochastic_variational_euler", X0, paths, SMALL_LADDER,
+            lambda q, p: q[..., 2], ref_refine=4, block_size=block_size,
+        )
+    except StatisticallyInconclusive as err:
+        return np.append(err.errors, err.mc_stderrs).tobytes()
+    report = result.report
+    return np.append(report.errors, [*result.mc_stderr, report.slope, report.slope_stderr]).tobytes()
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16), num_paths=st.integers(2, 8), data=st.data())
+def test_studies_give_the_same_bits_for_every_block_size(pendulum, seed, num_paths, data):
+    paths = sv.generate(seed, num_paths, 3, 2**6)
+    block_size = data.draw(st.integers(1, num_paths), label="block_size")
+    for bits in (strong_bits, weak_bits):
+        assert bits(pendulum, paths, block_size) == bits(pendulum, paths, num_paths)
+
+
+def test_weak_study_rejects_an_observable_without_one_value_per_path(pendulum):
+    paths = sv.generate(3, 8, 3, 2**6)
+    with pytest.raises(ValueError, match="observable must return shape"):
+        sv.weak_error_study(
+            pendulum, "stochastic_variational_euler", X0, paths, SMALL_LADDER,
+            lambda q, p: float(np.mean(q[..., 2])), ref_refine=4,
+        )
 
 
 def test_studies_are_bitwise_deterministic(pendulum):

@@ -307,6 +307,20 @@ def test_simulate_draws_only_path_zero(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_far_from_time_zero(tmp_path, capsys):
+    # At t0 = 1e9 the horizon length t0 + 1.6 - t0 is not 1.6; the noise
+    # ensemble is built over (0, 1.6), whose base step is h exactly.
+    config = write_config(
+        tmp_path, study="simulate", horizon={"start": 1e9, "end": 1e9 + 1}, step={"h": 0.1},
+        noise={"seed": 3, "paths": 1, "base_steps": 16},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 0, (
+        capsys.readouterr().err
+    )
+    assert len(read_trajectory(out / "trajectory.csv")) == 11
+
+
 @pytest.mark.parametrize(
     "integrator, code",
     [
