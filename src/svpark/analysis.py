@@ -19,7 +19,9 @@ import numpy as np
 
 from .exceptions import (
     LadderTooShort,
+    NoConvergence,
     RankDeficient,
+    SingularJacobian,
     StatisticallyInconclusive,
 )
 from .deterministic import project_state
@@ -177,10 +179,16 @@ def _collect(system, method, x0, paths, h_ladder, ref_refine, config, block_size
 
     chunks = [[] for _ in h_ladder]
     for start in range(0, paths.num_paths, block_size):
-        block = paths.block(start, min(start + block_size, paths.num_paths))
-        reference = endpoints(block, paths.h_base)
-        for rung, h, factor in zip(chunks, h_ladder, factors):
-            rung.append(sample(*endpoints(coarsen_array(block, factor), h), *reference))
+        stop = min(start + block_size, paths.num_paths)
+        block = paths.block(start, stop)
+        try:
+            reference = endpoints(block, paths.h_base)
+            for rung, h, factor in zip(chunks, h_ladder, factors):
+                rung.append(sample(*endpoints(coarsen_array(block, factor), h), *reference))
+        except (NoConvergence, RankDeficient, SingularJacobian) as err:
+            # A step failure names a batch index; the block says which paths.
+            err.args = (f"paths {start} to {stop - 1}: {err.args[0] if err.args else err}",)
+            raise
     return h_ladder, [np.concatenate(rung, axis=-1) for rung in chunks]
 
 

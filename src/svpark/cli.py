@@ -281,8 +281,10 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def run(config_path, output_dir=None) -> int:

@@ -9,6 +9,13 @@ constraint, so each step ends with a projection that adds a constraint
 force to the momentum; for the trapezoidal (RATTLE) scheme that projection
 is part of the step's own equations.
 
+For a separable system (one that declares a constant ``mass`` M) the
+velocities are explicit in the multipliers: the Euler, SVE and RATTLE
+steps reduce to the SHAKE multiplier equation g(q + h M^{-1}(d + c G^T lam))
+= 0, a Newton iteration on the k multipliers alone, and the projection is
+one closed-form saddle solve (Hairer, Lubich and Wanner, Geometric
+Numerical Integration, VII.1).
+
 Every function broadcasts over leading batch dimensions of the state
 arrays, which is how trajectory ensembles are integrated in one sweep.
 """
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import State, legendre_velocity, noise_gradients
-from .solver import DEFAULT_NEWTON, newton_solve, schur_multiplier_solve
+from .solver import DEFAULT_NEWTON, _solve_mass, newton_solve, schur_multiplier_solve
 from .exceptions import NoConvergence, RankDeficient
-from .tableau import ButcherTableau, check_admissibility
+from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 
 __all__ = [
     "InternalStages",
@@ -52,6 +59,15 @@ class InternalStages:
 
 @dataclass
 class StepResult:
+    """One step's state, stages and multipliers.
+
+    ``newton_iters`` counts the step's Newton iterations plus the
+    projection's: for a separable system the multiplier Newton's iterations
+    plus 1 for the closed-form projection.  ``velocity`` is the Legendre
+    velocity of the new state and ``warm`` the solution to start the next
+    step's Newton iteration from.
+    """
+
     state: State
     stages: InternalStages | None
     multipliers: list
@@ -88,11 +104,17 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
     Legendre velocity at (q, p) is annihilated by the constraint Jacobian.
 
     Each iteration solves one saddle system; for Lagrangians quadratic in v
-    a single iteration is exact.  Returns (p, v, mu, iterations).
+    a single iteration is exact, and a separable system takes that one
+    closed-form solve without forming residuals (counted as one iteration).
+    Returns (p, v, mu, iterations).
     """
     cfg = config or DEFAULT_NEWTON
     G = system.dg_dq(q)
     GT = _gt(G)
+    if system.mass is not None:
+        # M v + G^T lam = p_hat, G v = 0: lam = -scale * mu.
+        v, lam = schur_multiplier_solve(system.mass, G, p_hat, np.zeros(G.shape[:-1]))
+        return p_hat - _apply(GT, lam), v, -lam / scale, 1
     k = G.shape[-2]
     v = legendre_velocity(system, q, p_hat, cfg) if v0 is None else np.array(v0)
     mu = np.zeros(q.shape[:-1] + (k,))
@@ -171,14 +193,55 @@ def _saddle_jacobian(J11, J12, J21):
     return J
 
 
-def variational_euler_a_step(system, x: State, h, config=None, warm=None):
+def _multiplier_newton(system, q, d, h, c, config, warm):
+    """SHAKE's multiplier equation for a separable system: the momentum
+    d + c G(q)^T lam moves q to q + h M^{-1}(d + c G(q)^T lam), and Newton
+    on the k multipliers puts that position on g = 0.  The k x k Jacobian
+    is h c G(q_next) M^{-1} G(q)^T.  Returns the position, momentum,
+    velocity, multipliers and the Newton iteration count.
+    """
+    GT = _gt(system.dg_dq(q))
+    k = GT.shape[-1]
+    solved = _solve_mass(system.mass, np.concatenate([GT, d[..., None]], axis=-1))
+    MinvGT, Minv_d = solved[..., :k], solved[..., k]
+    start = q + h * Minv_d
+    W = (h * c) * MinvGT
+
+    def position(lam):
+        return start + _apply(W, lam)
+
+    def residual(lam):
+        return system.constraint(position(lam))
+
+    def jacobian(lam):
+        return system.dg_dq(position(lam)) @ W
+
+    if warm is None:
+        warm = np.zeros(q.shape[:-1] + (k,))
+    sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    lam = sol.x
+    return (
+        position(lam),
+        d + c * _apply(GT, lam),
+        Minv_d + c * _apply(MinvGT, lam),
+        lam,
+        sol.iterations,
+    )
+
+
+def variational_euler_a_step(system, x: State, h, config=None, warm=None, v=None):
     """One step of the first variational Euler scheme.
 
     The position update is q_next = q + h * v_hat with the momentum drift
     and the Legendre pairing both evaluated at (q, v_hat).  The returned
     momentum p_hat satisfies g(q_next) = 0 but not, in general, the hidden
-    velocity constraint; compose with ``projection_step``.
+    velocity constraint; compose with ``projection_step``.  For a separable
+    system dL_dq does not depend on v and the scheme is the second Euler
+    scheme.  ``v``, the Legendre velocity of ``x`` when the caller has it,
+    saves a Legendre solve.
     """
+    if system.mass is not None:
+        return _euler_b_core(system, x, h, None, config, v=v, warm=warm)
     cfg = config or DEFAULT_NEWTON
     q, p = x.q, x.p
     n = system.dim_q
@@ -200,7 +263,7 @@ def variational_euler_a_step(system, x: State, h, config=None, warm=None):
         return _saddle_jacobian(J11, -h * GT_k, J21)
 
     if warm is None:
-        v0 = legendre_velocity(system, q, p, cfg)
+        v0 = legendre_velocity(system, q, p, cfg) if v is None else v
         warm = np.concatenate([v0, np.zeros(q.shape[:-1] + (k,))], axis=-1)
     sol = newton_solve(residual, warm, cfg, jacobian=jacobian)
     v_hat, lam = sol.x[..., :n], sol.x[..., n:]
@@ -224,10 +287,17 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     k = system.dim_g
     if v is None:
         v = legendre_velocity(system, q, p, cfg)
-    GT_k = _gt(system.dg_dq(q))
     drift = p + h * system.dL_dq(q, v)
     if kick is not None:
         drift = drift + kick
+    if system.mass is not None:
+        q_next, p_hat, v_hat, lam, iters = _multiplier_newton(
+            system, q, drift, h, h, cfg, warm
+        )
+        return EulerIntermediate(
+            q=q_next, p_hat=p_hat, v_hat=v_hat, multiplier=lam, newton_iters=iters
+        )
+    GT_k = _gt(system.dg_dq(q))
 
     def residual(u):
         v_hat, lam = u[..., :n], u[..., n:]
@@ -271,19 +341,25 @@ def _projected_step(system, intermediate, h, config) -> StepResult:
     p, v, mu, proj_iters = _project(
         system, intermediate.q, intermediate.p_hat, h, config, v0=intermediate.v_hat
     )
+    if system.mass is not None:
+        warm = intermediate.multiplier
+    else:
+        warm = np.concatenate([intermediate.v_hat, intermediate.multiplier], axis=-1)
     return StepResult(
         state=State(q=intermediate.q, p=p),
         stages=None,
         multipliers=[intermediate.multiplier, mu],
         newton_iters=intermediate.newton_iters + proj_iters,
         velocity=v,
-        warm=np.concatenate([intermediate.v_hat, intermediate.multiplier], axis=-1),
+        warm=warm,
     )
 
 
-def euler_a_with_projection(system, x: State, h, config=None, warm=None) -> StepResult:
+def euler_a_with_projection(
+    system, x: State, h, config=None, warm=None, v=None
+) -> StepResult:
     return _projected_step(
-        system, variational_euler_a_step(system, x, h, config, warm), h, config
+        system, variational_euler_a_step(system, x, h, config, warm, v), h, config
     )
 
 
@@ -302,71 +378,38 @@ def euler_b_with_projection(
 def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResult:
     """One step of variational RATTLE (two-stage trapezoidal scheme).
 
-    Solves for the two stage velocities and the position multiplier, then
-    determines the velocity multiplier from the hidden constraint at the
-    new state.  Agrees with ``vprk_step`` on the trapezoidal tableau.
+    For a separable system this is the classical form: the half-step
+    momentum p_half = p + (h/2)(dL_dq(q) + G(q)^T lam1) moves q to
+    q + h M^{-1} p_half on g = 0 (Newton on lam1 alone), and
+    p_half + (h/2) dL_dq(q_next) is projected with the velocity multiplier
+    lam2.  Any other system takes ``vprk_step`` on the trapezoidal tableau,
+    with which the separable form agrees to solver tolerance.
     """
     cfg = config or DEFAULT_NEWTON
+    if system.mass is None:
+        tableau = builtin_tableaux()["rattle_trapezoidal"]
+        return _vprk_core(system, tableau, x, h, cfg, nu=None, dW=None, v=v, warm=warm)
     q, p = x.q, x.p
-    n = system.dim_q
-    k = system.dim_g
     if v is None:
         v = legendre_velocity(system, q, p, cfg)
-    G_k = system.dg_dq(q)
-    GT_k = _gt(G_k)
-
-    def unpack(u):
-        return u[..., :n], u[..., n : 2 * n], u[..., 2 * n :]
-
-    def residual(u):
-        V1, V2, lam1 = unpack(u)
-        q_next = q + 0.5 * h * (V1 + V2)
-        P1 = system.dL_dv(q, V1)
-        r1 = P1 - p - 0.5 * h * (system.dL_dq(q, V1) + _apply(GT_k, lam1))
-        r2 = system.dL_dv(q_next, V2) - P1
-        r3 = system.constraint(q_next)
-        return np.concatenate([r1, r2, r3], axis=-1)
-
-    def jacobian(u):
-        V1, V2, _ = unpack(u)
-        q_next = q + 0.5 * h * (V1 + V2)
-        M1 = system.d2L_dv2(q, V1)
-        M2 = system.d2L_dv2(q_next, V2)
-        C2 = system.d2L_dqdv(q_next, V2)
-        Gn = system.dg_dq(q_next)
-        batch = V1.shape[:-1]
-        J = np.zeros(batch + (2 * n + k, 2 * n + k))
-        J[..., :n, :n] = M1 - 0.5 * h * _gt(system.d2L_dqdv(q, V1))
-        J[..., :n, 2 * n :] = -0.5 * h * GT_k
-        J[..., n : 2 * n, :n] = 0.5 * h * C2 - M1
-        J[..., n : 2 * n, n : 2 * n] = 0.5 * h * C2 + M2
-        J[..., 2 * n :, :n] = 0.5 * h * Gn
-        J[..., 2 * n :, n : 2 * n] = 0.5 * h * Gn
-        return J
-
-    if warm is None:
-        warm = np.concatenate([v, v, np.zeros(q.shape[:-1] + (k,))], axis=-1)
-    sol = newton_solve(residual, warm, cfg, jacobian=jacobian)
-    V1, V2, lam1 = unpack(sol.x)
-    q_next = q + 0.5 * h * (V1 + V2)
-    P1 = system.dL_dv(q, V1)
-    p_hat = P1 + 0.5 * h * system.dL_dq(q_next, V2)
-    p_next, v_next, lam2, proj_iters = _project(
-        system, q_next, p_hat, 0.5 * h, cfg, v0=V2
+    q_next, p_half, v_half, lam1, iters = _multiplier_newton(
+        system, q, p + 0.5 * h * system.dL_dq(q, v), h, 0.5 * h, cfg, warm
     )
+    p_hat = p_half + 0.5 * h * system.dL_dq(q_next, v_half)
+    p_next, v_next, lam2, proj_iters = _project(system, q_next, p_hat, 0.5 * h, cfg)
     stages = InternalStages(
         Q=np.stack([q, q_next], axis=-2),
-        V=np.stack([V1, V2], axis=-2),
-        P=np.stack([P1, system.dL_dv(q_next, V2)], axis=-2),
+        V=np.stack([v_half, v_half], axis=-2),
+        P=np.stack([p_half, p_half], axis=-2),
         Lambda=np.stack([lam1, lam2], axis=-2),
     )
     return StepResult(
         state=State(q=q_next, p=p_next),
         stages=stages,
         multipliers=[lam1, lam2],
-        newton_iters=sol.iterations + proj_iters,
+        newton_iters=iters + proj_iters,
         velocity=v_next,
-        warm=sol.x,
+        warm=lam1,
     )
 
 

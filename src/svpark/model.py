@@ -15,6 +15,10 @@ Derivative conventions:
   reduced dynamics contract it with v on the right.
 - ``d2g_dq2_vv(q, v)`` is the constraint Hessian contracted twice with v,
   shape (..., k); the full third-order tensor is never needed.
+
+A system may declare a constant mass matrix M (``mass``): the Lagrangian is
+then separable, L(q, v) = v^T M v / 2 + (a function of q alone), and the
+integrators solve for the Lagrange multipliers only.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DerivativeMismatch
-from .solver import DEFAULT_NEWTON, newton_solve
+from .solver import _COND_LIMIT, DEFAULT_NEWTON, newton_solve
 
 __all__ = [
     "MechanicalSystem",
@@ -42,7 +46,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MechanicalSystem:
-    """Callbacks defining a constrained mechanical system on R^n."""
+    """Callbacks defining a constrained mechanical system on R^n.
+
+    ``mass`` is optional: a constant, symmetric, invertible (n, n) matrix M
+    declares the Lagrangian separable, L(q, v) = v^T M v / 2 - V(q), so that
+    dL_dv = M v, d2L_dv2 = M and d2L_dqdv = 0 (``validate_system`` checks
+    all three).  The Euler, SVE and RATTLE steps then solve for the k
+    multipliers alone and the hidden-constraint projection is one
+    closed-form saddle solve; without it (the default) every step solves
+    for velocities and multipliers together.  A copy made with
+    ``dataclasses.replace`` keeps the declaration, so a copy with other
+    kinetic callbacks must restate or drop it (``mass=None``).
+    """
 
     dim_q: int
     dim_g: int
@@ -57,6 +72,8 @@ class MechanicalSystem:
     d2g_dq2_vv: callable
     gamma: tuple = field(default=())
     dgamma_dq: tuple = field(default=())
+    # Left out of == and hash(): an array has neither a truth value nor a hash.
+    mass: np.ndarray = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 < self.dim_g < self.dim_q:
@@ -65,6 +82,20 @@ class MechanicalSystem:
             raise ValueError("gamma and dgamma_dq must each have num_noise entries")
         object.__setattr__(self, "gamma", tuple(self.gamma))
         object.__setattr__(self, "dgamma_dq", tuple(self.dgamma_dq))
+        if self.mass is not None:
+            mass = np.array(self.mass, dtype=float)
+            n = self.dim_q
+            if (
+                mass.shape != (n, n)
+                or not np.all(np.isfinite(mass))
+                or not np.allclose(mass, mass.T, rtol=1e-12, atol=0.0)
+                or not np.linalg.cond(mass) < _COND_LIMIT
+            ):
+                raise ValueError(
+                    f"mass must be a finite, symmetric, invertible ({n}, {n}) array"
+                )
+            mass.setflags(write=False)
+            object.__setattr__(self, "mass", mass)
 
 
 @dataclass
@@ -86,6 +117,7 @@ def spherical_pendulum() -> MechanicalSystem:
 
     L(q, v) = ||v||^2 / 2 - q . e3, constraint g(q) = ||q||^2 - 1, and three
     stochastic potentials gamma_i(q) = sin(q_i), one per coordinate axis.
+    Declares the constant mass matrix I.
     """
     e3 = np.array([0.0, 0.0, 1.0])
 
@@ -139,6 +171,7 @@ def spherical_pendulum() -> MechanicalSystem:
         d2g_dq2_vv=d2g_dq2_vv,
         gamma=gammas,
         dgamma_dq=dgammas,
+        mass=np.eye(3),
     )
 
 
@@ -242,8 +275,10 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
     """Check every derivative callback against finite differences.
 
     ``samples`` is a list of (q, v) pairs; each q must satisfy
-    |g(q)| <= 1e-8.  Raises DerivativeMismatch naming the worst callback
-    when any check exceeds ``tol``; otherwise returns the all-pass report.
+    |g(q)| <= 1e-8.  A declared ``mass`` M is checked too, under that name:
+    dL_dv = M v, d2L_dv2 = M and d2L_dqdv = 0 at every sample.  Raises
+    DerivativeMismatch naming the worst callback when any check exceeds
+    ``tol``; otherwise returns the all-pass report.
     """
     errors = {
         "dL_dq": 0.0,
@@ -255,6 +290,8 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
     }
     if system.num_noise:
         errors["dgamma_dq"] = 0.0
+    if system.mass is not None:
+        errors["mass"] = 0.0
     for q, v in samples:
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -279,6 +316,14 @@ def validate_system(system, samples, tol=1e-5, eps=1e-6) -> ValidationReport:
             fd = _central(system.gamma[r], q, eps)
             errors["dgamma_dq"] = max(
                 errors["dgamma_dq"], _rel_err(fd, system.dgamma_dq[r](q))
+            )
+        if system.mass is not None:
+            M = system.mass
+            errors["mass"] = max(
+                errors["mass"],
+                _rel_err(system.dL_dv(q, v), M @ v),
+                _rel_err(system.d2L_dv2(q, v), M),
+                _rel_err(system.d2L_dqdv(q, v), np.zeros_like(M)),
             )
         for name, (fd, exact) in checks.items():
             errors[name] = max(errors[name], _rel_err(fd, exact))

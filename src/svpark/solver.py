@@ -64,11 +64,30 @@ def _fd_jacobian(F, x, Fx, stacked=False):
     return np.moveaxis((Fp - Fx) / step[..., None], 0, -1)
 
 
+def _worst(norm, among):
+    """'residual R' for the largest residual among the flagged elements,
+    followed by ' at batch index i, j' when the solve is batched."""
+    masked = np.where(among, norm, -np.inf)
+    flat = int(np.argmax(masked))
+    where = ""
+    if masked.ndim:
+        index = np.unravel_index(flat, masked.shape)
+        where = " at batch index " + ", ".join(str(int(i)) for i in index)
+    return f"residual {masked.flat[flat]:.3e}{where}"
+
+
 def _solve_linear(J, r):
-    try:
-        delta = np.linalg.solve(J, r[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularJacobian(str(err)) from err
+    if J.shape[-1] == 1:
+        # A 1x1 system: the division LAPACK's solve performs, without its
+        # per-matrix call, and its rule that a zero pivot is singular.
+        if np.any(J == 0.0):
+            raise SingularJacobian("Singular matrix")
+        delta = r / J[..., 0]
+    else:
+        try:
+            delta = np.linalg.solve(J, r[..., None])[..., 0]
+        except np.linalg.LinAlgError as err:
+            raise SingularJacobian(str(err)) from err
     if not np.all(np.isfinite(delta)):
         raise SingularJacobian("linear solve produced non-finite update")
     return delta
@@ -94,7 +113,9 @@ def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> Newt
     ``tol_residual``.  Full steps are halved (up to 30 times, per element)
     whenever they fail to reduce the residual.  Raises NoConvergence when
     the iteration budget runs out or an element stalls, SingularJacobian
-    when the linear solve fails.
+    when the linear solve fails; for a batched solve the message names the
+    batch index of the unconverged element with the largest residual.  A
+    1x1 system is solved by division, bitwise as LAPACK solves it.
     """
     cfg = config or DEFAULT_NEWTON
     x = np.array(x0, dtype=float)
@@ -111,7 +132,10 @@ def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> Newt
             iterations -= 1
             break
         J = jacobian(x) if jacobian is not None else _fd_jacobian(F, x, Fx, stacked_fd)
-        delta = _solve_linear(J, Fx)
+        try:
+            delta = _solve_linear(J, Fx)
+        except SingularJacobian as err:
+            raise SingularJacobian(f"{err} ({_worst(norm, ~converged)})") from err
         alpha = np.ones(norm.shape)
         accepted = converged
         trial_x, trial_F = x, Fx
@@ -127,19 +151,38 @@ def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> Newt
                 break
             alpha = np.where(accepted, alpha, alpha / 2.0)
         if not np.all(accepted):
-            worst = float(np.max(norm))
             raise NoConvergence(
-                worst,
+                float(np.max(norm)),
                 iterations,
                 f"Newton step stalled after {_MAX_HALVINGS} halvings "
-                f"(residual {worst:.3e})",
+                f"({_worst(norm, ~accepted)})",
             )
         x, Fx = trial_x, trial_F
         norm = _inf_norm(Fx)
         converged = norm <= cfg.tol_residual
     if not np.all(converged):
-        raise NoConvergence(float(np.max(norm)), cfg.max_iter)
+        raise NoConvergence(
+            float(np.max(norm)),
+            cfg.max_iter,
+            f"no convergence after {cfg.max_iter} iterations ({_worst(norm, ~converged)})",
+        )
     return NewtonResult(x=x, iterations=iterations, residual=float(np.max(norm)))
+
+
+def _solve_mass(M, rhs):
+    """M^{-1} rhs for rhs of shape (..., n, r).
+
+    An unbatched (n, n) M against a batched rhs is factored (inverted) once
+    and applied to every right-hand side of the batch as the columns of one
+    matrix product, which is far cheaper than broadcasting M into one LAPACK
+    solve per element, or than one LAPACK solve with all the columns.
+    Otherwise each M is solved against its rhs.
+    """
+    if M.ndim > 2 or rhs.ndim == 2:
+        return np.linalg.solve(M, rhs)
+    columns = rhs.swapaxes(0, -2)
+    solved = np.linalg.inv(M) @ columns.reshape(M.shape[-1], -1)
+    return solved.reshape(columns.shape).swapaxes(0, -2)
 
 
 def _schur_complement(M, G, extra=None):
@@ -154,7 +197,7 @@ def _schur_complement(M, G, extra=None):
     k = GT.shape[-1]
     rhs = GT if extra is None else np.concatenate([GT, extra], axis=-1)
     try:
-        solved = np.linalg.solve(M, rhs)
+        solved = _solve_mass(M, rhs)
     except np.linalg.LinAlgError as err:
         raise RankDeficient(f"primal block not invertible: {err}") from err
     MinvGT = solved[..., :k]
@@ -176,11 +219,12 @@ def _schur_complement(M, G, extra=None):
 def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     """Solve the saddle system M x + G^T lam = rhs_primal, G x = rhs_constraint.
 
-    M is (..., n, n) invertible, G is (..., k, n) with full row rank.  The
-    multiplier is eliminated through the Schur complement S = G M^{-1} G^T;
-    raises RankDeficient when S is numerically singular (see
-    ``_schur_complement``).  Returns (x, lam) with shapes (..., n) and
-    (..., k).
+    M is (..., n, n) invertible, G is (..., k, n) with full row rank; an
+    unbatched (n, n) M is factored once for the whole batch.  The
+    multiplier is eliminated through the Schur complement S = G M^{-1} G^T,
+    by division when k = 1; raises RankDeficient when S is numerically
+    singular (see ``_schur_complement``).  Returns (x, lam) with shapes
+    (..., n) and (..., k).
     """
     M = np.asarray(M, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -189,6 +233,9 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
     Minv_rp = Minv_rp[..., 0]
     resid = (G @ Minv_rp[..., None])[..., 0] - rc
-    lam = np.linalg.solve(S, resid[..., None])[..., 0]
+    if S.shape[-1] == 1:
+        lam = resid / S[..., 0]  # S has no zero pivot: _schur_complement checked
+    else:
+        lam = np.linalg.solve(S, resid[..., None])[..., 0]
     x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]
     return x, lam

@@ -176,7 +176,7 @@ _METHODS = {
     "stochastic_vprk": (True, ("tableau", "quad"), lambda system, cfg, rk, x, v, dW, h, warm:
         _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v, warm=warm)),
     "euler_a": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
-        euler_a_with_projection(system, x, h, cfg, warm=warm)),
+        euler_a_with_projection(system, x, h, cfg, warm=warm, v=v)),
     "euler_b": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         euler_b_with_projection(system, x, h, cfg, v=v, warm=warm)),
     "stochastic_variational_euler": (True, (), lambda system, cfg, rk, x, v, dW, h, warm:
@@ -328,18 +328,18 @@ def simulate_path(
     elif num_steps is None or h is None:
         raise ValueError("h and num_steps are required without paths")
 
-    q0 = np.array(x0.q, dtype=float)
-    p0 = np.array(x0.p, dtype=float)
-    qs, ps, vs = [q0], [p0], [legendre_velocity(system, q0, p0, cfg)]
+    q = np.empty((num_steps + 1,) + np.shape(x0.q))
+    p = np.empty_like(q)
+    v = np.empty_like(q)
+    q[0], p[0] = x0.q, x0.p
+    v[0] = legendre_velocity(system, q[0], p[0], cfg)
     iters, multipliers = [], []
-    for result, v in integrate(system, method, x0, increments, h, num_steps, cfg):
-        qs.append(result.state.q)
-        ps.append(result.state.p)
-        vs.append(v)
+    steps = integrate(system, method, x0, increments, h, num_steps, cfg)
+    for i, (result, velocity) in enumerate(steps, 1):
+        q[i], p[i], v[i] = result.state.q, result.state.p, velocity
         iters.append(result.newton_iters)
         if result.multipliers:
             multipliers.append(np.concatenate([np.ravel(m) for m in result.multipliers]))
-    q, p, v = np.array(qs), np.array(ps), np.array(vs)
     return Trajectory(
         times=np.arange(num_steps + 1) * h,
         q=q,

@@ -43,7 +43,8 @@ def variable_mass_sphere(beta=0.3):
 
     L(q, v) = (1 + beta q_1^2) ||v||^2 / 2 - q . e3.  The q-v coupling makes
     the two Euler variants genuinely different and exercises the
-    d2L_dqdv-dependent terms of the implicit solvers.
+    d2L_dqdv-dependent terms of the implicit solvers.  The mass depends on
+    q, so the pendulum's constant-mass declaration is dropped.
     """
     base = sv.spherical_pendulum()
     from dataclasses import replace
@@ -81,6 +82,7 @@ def variable_mass_sphere(beta=0.3):
         dL_dv=dL_dv,
         d2L_dv2=d2L_dv2,
         d2L_dqdv=d2L_dqdv,
+        mass=None,
     )
 
 

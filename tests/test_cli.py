@@ -461,3 +461,13 @@ def test_rejected_run_prints_one_error_and_writes_nothing(tmp_path, capsys, over
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_study_newton_failure_exits_1_naming_the_path(tmp_path, capsys):
+    config = write_config(tmp_path, newton={"max_iter": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    # The study's one block holds all 16 paths; the index is the path's.
+    assert err.startswith("error: paths 0 to 15: step 0 of ") and "at batch index" in err, err
+    assert not out.exists()

@@ -47,6 +47,7 @@ def test_gram_matches_definition_for_linear_constraint():
         constraint=lambda q: (q @ Gmat[0])[..., None],
         dg_dq=lambda q: np.broadcast_to(Gmat, q.shape[:-1] + (1, 3)).copy(),
         d2g_dq2_vv=lambda q, v: np.zeros(q.shape[:-1] + (1,)),
+        mass=np.diag(Mdiag),
     )
     q = np.array([1.0, -1.0, 0.4])
     P = sv.projection_matrices(system, q, np.zeros(3)).gram

@@ -1,0 +1,142 @@
+"""The constant-mass declaration: its checks, and agreement of the separable
+steps (Newton on the multipliers only) with the general ones."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import svpark as sv
+from svpark.exceptions import DerivativeMismatch
+
+from conftest import random_states, variable_mass_sphere
+
+README_METHODS = [
+    "rattle",
+    "vprk",
+    "euler_a",
+    "euler_b",
+    "stochastic_variational_euler",
+    "stochastic_vprk",
+    "euler_maruyama_ref",
+]
+SAMPLE = [(np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.5, 0.0]))]
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [
+        np.eye(2),
+        np.ones(3),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, np.nan, 1.0]]),
+        np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.diag([1.0, 1.0, 0.0]),
+    ],
+    ids=["wrong-shape", "vector", "not-finite", "not-symmetric", "singular"],
+)
+def test_invalid_mass_is_rejected(pendulum, mass):
+    with pytest.raises(ValueError, match="mass must be"):
+        replace(pendulum, mass=mass)
+
+
+def test_declared_mass_is_a_read_only_copy(pendulum):
+    source = np.diag([2.0, 3.0, 5.0])
+    system = replace(pendulum, mass=source)
+    source[0, 0] = 7.0
+    assert system.mass[0, 0] == 2.0
+    assert not system.mass.flags.writeable
+
+
+def test_validate_system_checks_the_declared_mass(pendulum):
+    report = sv.validate_system(pendulum, SAMPLE)
+    assert report.max_errors["mass"] <= 1e-12
+    with pytest.raises(DerivativeMismatch) as info:
+        sv.validate_system(replace(pendulum, mass=2.0 * np.eye(3)), SAMPLE)
+    assert info.value.callback == "mass"
+    # A q-dependent mass inherits the pendulum's declaration when it is not
+    # restated; validation names the declaration, not a derivative callback.
+    inherited = replace(variable_mass_sphere(), mass=np.eye(3))
+    q = np.array([0.6, 0.0, -0.8])
+    with pytest.raises(DerivativeMismatch) as info:
+        sv.validate_system(inherited, [(q, np.array([0.0, 1.0, 0.0]))])
+    assert info.value.callback == "mass"
+
+
+def _run(system, method, x0, increments, h, num_steps):
+    """Endpoints and the worst |g| and hidden residual over every step."""
+    worst_g = worst_hidden = 0.0
+    for result, v in sv.integrate(system, method, x0, increments, h, num_steps):
+        q = result.state.q
+        worst_g = max(worst_g, float(np.max(sv.constraint_residual(system, q))))
+        worst_hidden = max(worst_hidden, float(np.max(sv.hidden_residual(system, q, v=v))))
+    return result.state, worst_g, worst_hidden
+
+
+def circle_system():
+    """Two constraints: the circle |q| = 1, q_3 = 0.3, with mass diag(1, 2, 3),
+    gravity along e1 and the pendulum's noise."""
+    base = sv.spherical_pendulum()
+    Mdiag = np.array([1.0, 2.0, 3.0])
+    e1 = np.array([1.0, 0.0, 0.0])
+    return replace(
+        base,
+        dim_g=2,
+        lagrangian=lambda q, v: 0.5 * np.sum(Mdiag * v * v, axis=-1) - q @ e1,
+        dL_dq=lambda q, v: np.broadcast_to(-e1, q.shape).copy(),
+        dL_dv=lambda q, v: Mdiag * v,
+        d2L_dv2=lambda q, v: np.broadcast_to(np.diag(Mdiag), q.shape + (3,)).copy(),
+        constraint=lambda q: np.stack([np.sum(q * q, axis=-1) - 1.0, q[..., 2] - 0.3], axis=-1),
+        dg_dq=lambda q: np.stack(
+            [2.0 * q, np.broadcast_to([0.0, 0.0, 1.0], q.shape)], axis=-2
+        ),
+        d2g_dq2_vv=lambda q, v: np.stack(
+            [2.0 * np.sum(v * v, axis=-1), np.zeros(q.shape[:-1])], axis=-1
+        ),
+        mass=np.diag(Mdiag),
+    )
+
+
+def test_circle_system_declaration_validates():
+    r = np.sqrt(0.91)
+    samples = [(np.array([r, 0.0, 0.3]), np.array([0.0, 0.7, 0.0])),
+               (np.array([0.0, -r, 0.3]), np.array([0.4, 0.2, -0.1]))]
+    assert sv.validate_system(circle_system(), samples).passed
+
+
+@pytest.mark.parametrize("method", README_METHODS)
+@pytest.mark.parametrize("model", ["pendulum", "circle"])
+def test_separable_steps_agree_with_the_general_path(model, method):
+    # The circle has k = 2 multipliers and a non-identity mass.
+    system = sv.spherical_pendulum() if model == "pendulum" else circle_system()
+    general = replace(system, mass=None)
+    paths = sv.generate(11, 64, 3, 256)
+    q0 = np.array([1.0, 0.0, 0.0]) if model == "pendulum" else np.array([np.sqrt(0.91), 0.0, 0.3])
+    x0 = sv.State(q=q0, p=system.dL_dv(q0, np.array([0.0, 0.5, 0.0])))
+    increments = paths.increments if method in (
+        "stochastic_variational_euler", "stochastic_vprk", "euler_maruyama_ref"
+    ) else None
+    if increments is None:
+        rng = np.random.default_rng(12)
+        states = random_states(system, 64, rng)
+        x0 = sv.State(q=np.stack([s.q for s in states]), p=np.stack([s.p for s in states]))
+    a, g_a, hidden_a = _run(system, method, x0, increments, paths.h_base, 256)
+    b, g_b, hidden_b = _run(general, method, x0, increments, paths.h_base, 256)
+    assert np.max(np.abs(a.q - b.q)) <= 1e-11
+    assert np.max(np.abs(a.p - b.p)) <= 1e-11
+    if method != "euler_maruyama_ref":  # the explicit reference leaves the manifold
+        assert max(g_a, hidden_a, g_b, hidden_b) <= 1e-11
+
+
+@pytest.mark.parametrize("separable", [True, False], ids=["separable", "general"])
+def test_zero_noise_sve_is_euler_b_path_by_path(pendulum, separable):
+    system = pendulum if separable else replace(pendulum, mass=None)
+    rng = np.random.default_rng(13)
+    states = random_states(system, 64, rng)
+    x0 = sv.State(q=np.stack([s.q for s in states]), p=np.stack([s.p for s in states]))
+    zeros = np.zeros((64, 3, 128))
+    sve = list(sv.integrate(system, "stochastic_variational_euler", x0, zeros, 2.0**-7, 128))
+    euler_b = list(sv.integrate(system, "euler_b", x0, None, 2.0**-7, 128))
+    for (a, va), (b, vb) in zip(sve, euler_b):
+        assert np.array_equal(a.state.q, b.state.q)
+        assert np.array_equal(a.state.p, b.state.p)
+        assert np.array_equal(va, vb)

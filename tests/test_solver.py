@@ -224,3 +224,29 @@ def test_vprk_stacked_fd_jacobian_is_bitwise_the_per_column_one(
         (stacked.warm, columns.warm),
     ]:
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_batched_no_convergence_names_the_worst_element():
+    # One iteration of Newton on x^3 = c from x = 1: the element whose root
+    # lies farthest away is left with the largest residual.
+    c = np.array([1.5, 0.2, 3.0, 0.9])
+    config = sv.NewtonConfig(max_iter=1)
+    singles = []
+    for ci in c:
+        with pytest.raises(NoConvergence) as info:
+            sv.newton_solve(lambda x: x**3 - ci, np.ones(1), config)
+        singles.append(info.value.last_residual)
+        assert "batch index" not in str(info.value)
+    with pytest.raises(NoConvergence) as info:
+        sv.newton_solve(lambda x: x**3 - c[:, None], np.ones((4, 1)), config)
+    worst = int(np.argmax(singles))
+    assert info.value.last_residual == singles[worst]
+    assert f"(residual {singles[worst]:.3e} at batch index {worst})" in str(info.value)
+
+
+def test_singular_jacobian_names_a_batch_element():
+    # F(x) = a x - b with a zero slope in element (1, 0) of a (2, 2) batch.
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])[..., None]
+    b = np.array([[1.0, 1.0], [5.0, 1.0]])[..., None]
+    with pytest.raises(SingularJacobian, match="residual 5.000e[+]00 at batch index 1, 0"):
+        sv.newton_solve(lambda x: a * x - b, np.zeros((2, 2, 1)), jacobian=lambda x: a[..., None])

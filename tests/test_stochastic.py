@@ -237,3 +237,23 @@ def test_stochastic_vprk_strong_order_against_reference_scheme(pendulum):
         )
     slope, _ = sv.fit_loglog_slope(hs, errors)
     assert 0.7 <= slope <= 1.3
+
+
+def test_step_failure_names_step_and_batch_element(pendulum):
+    # One Newton iteration cannot reach 1e-12 at h = 1/4; the failure names
+    # the step, h and the path of the 4-path batch with the worst residual,
+    # as a path integrated on its own reports it.
+    paths = sv.generate(21, 4, 3, 4)
+    config = sv.NewtonConfig(max_iter=1)
+    method = "stochastic_variational_euler"
+    singles = []
+    for i in range(4):
+        with pytest.raises(NoConvergence) as info:
+            list(sv.integrate(pendulum, method, X0, paths.increments[i], 0.25, 4, config))
+        singles.append(info.value.last_residual)
+    with pytest.raises(NoConvergence) as info:
+        list(sv.integrate(pendulum, method, X0, paths.increments, 0.25, 4, config))
+    message = str(info.value)
+    assert message.startswith("step 0 of 4 at h = 0.25: no convergence after 1 iterations")
+    assert f"at batch index {int(np.argmax(singles))})" in message
+    assert info.value.last_residual == pytest.approx(max(singles), rel=1e-6)
