@@ -27,7 +27,6 @@ from .exceptions import (
 from .deterministic import project_state
 from .model import State, constraint_residual, hidden_residual, legendre_velocity
 from .noise import coarsen_array
-from .solver import DEFAULT_NEWTON
 from .stochastic import integrate, make_stepper
 
 __all__ = [
@@ -314,8 +313,7 @@ def _tangent_darboux_basis(system, x0: State, config):
     q, p = x0.q, x0.p
     n = system.dim_q
     k = system.dim_g
-    cfg = config or DEFAULT_NEWTON
-    v = legendre_velocity(system, q, p, cfg)
+    v = legendre_velocity(system, q, p, config)
     G = system.dg_dq(q)
     M = system.d2L_dv2(q, v)
     Minv = np.linalg.inv(M)
@@ -369,20 +367,19 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
     (system, state, h, dW) -> State.  ``dW`` is held fixed, so for
     stochastic methods this tests the map at one frozen realization.
     """
-    cfg = config or DEFAULT_NEWTON
     q0, p0 = x0.q, x0.p
     if max(constraint_residual(system, q0), hidden_residual(system, q0, p=p0)) > 1e-9:
         raise ValueError("x0 must lie on the phase manifold")
     if callable(step):
         step_map = step
     else:
-        stepper = make_stepper(system, step, cfg)
+        stepper = make_stepper(system, step, config)
 
         def step_map(sys_, state, h_, dW_):
             result, _, _ = stepper.step(state, None, dW_, h_, None)
             return result.state
 
-    E, omega, J = _tangent_darboux_basis(system, x0, cfg)
+    E, omega, J = _tangent_darboux_basis(system, x0, config)
     n = system.dim_q
     dim = E.shape[1]
     D = np.empty((2 * n, dim))
@@ -391,7 +388,7 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
         for sign in (+1.0, -1.0):
             dq = sign * eps * E[:n, i]
             dp = sign * eps * E[n:, i]
-            xs = project_state(system, q0 + dq, p0 + dp, config=cfg)
+            xs = project_state(system, q0 + dq, p0 + dp, config=config)
             ys = step_map(system, xs, h, dW)
             cols.append(np.concatenate([ys.q, ys.p]))
         D[:, i] = (cols[0] - cols[1]) / (2 * eps)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import State, legendre_velocity, noise_gradients
-from .solver import DEFAULT_NEWTON, _solve_mass, newton_solve, schur_multiplier_solve
-from .exceptions import NoConvergence, RankDeficient
+from .solver import NewtonConfig, _solve_mass, newton_solve, schur_multiplier_solve
 from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 
 __all__ = [
@@ -103,34 +102,32 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
     """Add a constraint force scale * dg_dq^T mu to p_hat so that the
     Legendre velocity at (q, p) is annihilated by the constraint Jacobian.
 
-    Each iteration solves one saddle system; for Lagrangians quadratic in v
-    a single iteration is exact, and a separable system takes that one
-    closed-form solve without forming residuals (counted as one iteration).
-    Returns (p, v, mu, iterations).
+    Newton on (v, mu) for dL_dv(q, v) = p_hat + scale * G^T mu, G v = 0;
+    for Lagrangians quadratic in v one iteration is exact.  A separable
+    system takes that one closed-form saddle solve without forming
+    residuals (counted as one iteration).  Returns (p, v, mu, iterations).
     """
-    cfg = config or DEFAULT_NEWTON
     G = system.dg_dq(q)
     GT = _gt(G)
     if system.mass is not None:
         # M v + G^T lam = p_hat, G v = 0: lam = -scale * mu.
         v, lam = schur_multiplier_solve(system.mass, G, p_hat, np.zeros(G.shape[:-1]))
         return p_hat - _apply(GT, lam), v, -lam / scale, 1
-    k = G.shape[-2]
-    v = legendre_velocity(system, q, p_hat, cfg) if v0 is None else np.array(v0)
-    mu = np.zeros(q.shape[:-1] + (k,))
-    iterations = 0
-    for iterations in range(cfg.max_iter + 1):
-        p_cur = p_hat + scale * _apply(GT, mu)
-        r1 = system.dL_dv(q, v) - p_cur
-        r2 = _apply(G, v)
-        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-        if res <= cfg.tol_residual:
-            return p_cur, v, mu, iterations
-        M = system.d2L_dv2(q, v)
-        dv, lam = schur_multiplier_solve(M, G, -r1, -r2)
-        v = v + dv
-        mu = mu - lam / scale
-    raise NoConvergence(res, iterations, "hidden-constraint projection stalled")
+    n = system.dim_q
+
+    def residual(u):
+        v, mu = u[..., :n], u[..., n:]
+        r1 = system.dL_dv(q, v) - p_hat - scale * _apply(GT, mu)
+        return np.concatenate([r1, _apply(G, v)], axis=-1)
+
+    def jacobian(u):
+        return _saddle_jacobian(system.d2L_dv2(q, u[..., :n]), -scale * GT, G)
+
+    v = legendre_velocity(system, q, p_hat, config) if v0 is None else v0
+    warm = np.concatenate([v, np.zeros(G.shape[:-1])], axis=-1)
+    sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    v, mu = sol.x[..., :n], sol.x[..., n:]
+    return p_hat + scale * _apply(GT, mu), v, mu, sol.iterations
 
 
 def projection_step(system, q, p_hat, h, config=None) -> State:
@@ -147,33 +144,25 @@ def projection_step(system, q, p_hat, h, config=None) -> State:
     return State(q=q, p=p)
 
 
-_RETRACT_TOL = 1e-13
-_RETRACT_MAX_ITER = 50
+_RETRACT = NewtonConfig(tol_residual=1e-13)
 
 
 def project_state(system, q, p, config=None) -> State:
     """Retract an ambient point onto the phase-space constraint set.
 
-    The position is moved onto g = 0 by Gauss-Newton along constraint
-    gradients; the momentum then receives the constraint force dg_dq^T mu
-    of the hidden-constraint projection.  Points already on the constraint
-    set are fixed (to solver tolerance), which is the property the
-    symplecticity check and state validation rely on.
+    The position moves along the constraint normals at q to g = 0, that is
+    q + dg_dq(q)^T lam with Newton on the multipliers lam (SHAKE's
+    equation, stopping at |g| <= 1e-13); the momentum then receives the
+    constraint force dg_dq^T mu of the hidden-constraint projection.
+    Points already on the constraint set are fixed (to solver tolerance),
+    which is the property the symplecticity check and state validation
+    rely on.  Raises SingularJacobian when the constraint gradients at q
+    are degenerate (for a batch, naming the batch index) and NoConvergence
+    when the retraction does not converge.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
-    for _ in range(_RETRACT_MAX_ITER):
-        g = system.constraint(q)
-        if np.max(np.abs(g)) <= _RETRACT_TOL:
-            break
-        G = system.dg_dq(q)
-        try:
-            w = np.linalg.solve(G @ _gt(G), g[..., None])[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise RankDeficient(f"constraint gradients degenerate: {err}") from err
-        q = q - _apply(_gt(G), w)
-    else:
-        raise RankDeficient("position projection did not converge")
+    q, _ = _shake_newton(system, q, _gt(system.dg_dq(q)), _RETRACT, None)
     p, _, _, _ = _project(system, q, p, 1.0, config)
     return State(q=q, p=p)
 
@@ -193,19 +182,10 @@ def _saddle_jacobian(J11, J12, J21):
     return J
 
 
-def _multiplier_newton(system, q, d, h, c, config, warm):
-    """SHAKE's multiplier equation for a separable system: the momentum
-    d + c G(q)^T lam moves q to q + h M^{-1}(d + c G(q)^T lam), and Newton
-    on the k multipliers puts that position on g = 0.  The k x k Jacobian
-    is h c G(q_next) M^{-1} G(q)^T.  Returns the position, momentum,
-    velocity, multipliers and the Newton iteration count.
-    """
-    GT = _gt(system.dg_dq(q))
-    k = GT.shape[-1]
-    solved = _solve_mass(system.mass, np.concatenate([GT, d[..., None]], axis=-1))
-    MinvGT, Minv_d = solved[..., :k], solved[..., k]
-    start = q + h * Minv_d
-    W = (h * c) * MinvGT
+def _shake_newton(system, start, W, config, warm):
+    """Newton on the k multipliers lam for g(start + W lam) = 0, with the
+    k x k Jacobian G(start + W lam) W.  Returns the position and the
+    NewtonResult."""
 
     def position(lam):
         return start + _apply(W, lam)
@@ -217,16 +197,56 @@ def _multiplier_newton(system, q, d, h, c, config, warm):
         return system.dg_dq(position(lam)) @ W
 
     if warm is None:
-        warm = np.zeros(q.shape[:-1] + (k,))
+        warm = np.zeros(start.shape[:-1] + W.shape[-1:])
     sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    return position(sol.x), sol
+
+
+def _multiplier_newton(system, q, d, h, c, config, warm):
+    """SHAKE's multiplier equation for a separable system: the momentum
+    d + c G(q)^T lam moves q to q + h M^{-1}(d + c G(q)^T lam), and Newton
+    on the k multipliers puts that position on g = 0.  The k x k Jacobian
+    is h c G(q_next) M^{-1} G(q)^T.  Returns the position, momentum,
+    velocity, multipliers and the Newton iteration count.
+    """
+    GT = _gt(system.dg_dq(q))
+    k = GT.shape[-1]
+    solved = _solve_mass(system.mass, np.concatenate([GT, d[..., None]], axis=-1))
+    MinvGT, Minv_d = solved[..., :k], solved[..., k]
+    q_next, sol = _shake_newton(system, q + h * Minv_d, (h * c) * MinvGT, config, warm)
     lam = sol.x
     return (
-        position(lam),
+        q_next,
         d + c * _apply(GT, lam),
         Minv_d + c * _apply(MinvGT, lam),
         lam,
         sol.iterations,
     )
+
+
+def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, warm, v):
+    """Newton on (v_hat, lam) for momentum(v_hat) = target + h G(q)^T lam and
+    g(q + h v_hat) = 0, started from ``warm`` or else from (v, 0).
+    ``momentum_jacobian`` is the v_hat-Jacobian of ``momentum``.  Returns
+    v_hat, lam and the Newton iteration count.
+    """
+    n = system.dim_q
+    GT = _gt(system.dg_dq(q))
+
+    def residual(u):
+        v_hat, lam = u[..., :n], u[..., n:]
+        r1 = momentum(v_hat) - target - h * _apply(GT, lam)
+        return np.concatenate([r1, system.constraint(q + h * v_hat)], axis=-1)
+
+    def jacobian(u):
+        v_hat = u[..., :n]
+        J21 = h * system.dg_dq(q + h * v_hat)
+        return _saddle_jacobian(momentum_jacobian(v_hat), -h * GT, J21)
+
+    if warm is None:
+        warm = np.concatenate([v, np.zeros(q.shape[:-1] + (system.dim_g,))], axis=-1)
+    sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    return sol.x[..., :n], sol.x[..., n:], sol.iterations
 
 
 def variational_euler_a_step(system, x: State, h, config=None, warm=None, v=None):
@@ -242,37 +262,21 @@ def variational_euler_a_step(system, x: State, h, config=None, warm=None, v=None
     """
     if system.mass is not None:
         return _euler_b_core(system, x, h, None, config, v=v, warm=warm)
-    cfg = config or DEFAULT_NEWTON
     q, p = x.q, x.p
-    n = system.dim_q
-    k = system.dim_g
-    GT_k = _gt(system.dg_dq(q))
-
-    def residual(u):
-        v_hat, lam = u[..., :n], u[..., n:]
-        r1 = system.dL_dv(q, v_hat) - p - h * (
-            system.dL_dq(q, v_hat) + _apply(GT_k, lam)
-        )
-        r2 = system.constraint(q + h * v_hat)
-        return np.concatenate([r1, r2], axis=-1)
-
-    def jacobian(u):
-        v_hat = u[..., :n]
-        J11 = system.d2L_dv2(q, v_hat) - h * _gt(system.d2L_dqdv(q, v_hat))
-        J21 = h * system.dg_dq(q + h * v_hat)
-        return _saddle_jacobian(J11, -h * GT_k, J21)
-
-    if warm is None:
-        v0 = legendre_velocity(system, q, p, cfg) if v is None else v
-        warm = np.concatenate([v0, np.zeros(q.shape[:-1] + (k,))], axis=-1)
-    sol = newton_solve(residual, warm, cfg, jacobian=jacobian)
-    v_hat, lam = sol.x[..., :n], sol.x[..., n:]
+    if warm is None and v is None:
+        v = legendre_velocity(system, q, p, config)
+    v_hat, lam, iters = _euler_newton(
+        system, q, h, p,
+        lambda v_hat: system.dL_dv(q, v_hat) - h * system.dL_dq(q, v_hat),
+        lambda v_hat: system.d2L_dv2(q, v_hat) - h * _gt(system.d2L_dqdv(q, v_hat)),
+        config, warm, v,
+    )
     return EulerIntermediate(
         q=q + h * v_hat,
         p_hat=system.dL_dv(q, v_hat),
         v_hat=v_hat,
         multiplier=lam,
-        newton_iters=sol.iterations,
+        newton_iters=iters,
     )
 
 
@@ -281,49 +285,35 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     extension: drift at (q, v) with v the current Legendre velocity, an
     additive momentum kick, and the Legendre pairing at the new position.
     """
-    cfg = config or DEFAULT_NEWTON
     q, p = x.q, x.p
-    n = system.dim_q
-    k = system.dim_g
     if v is None:
-        v = legendre_velocity(system, q, p, cfg)
+        v = legendre_velocity(system, q, p, config)
     drift = p + h * system.dL_dq(q, v)
     if kick is not None:
         drift = drift + kick
     if system.mass is not None:
         q_next, p_hat, v_hat, lam, iters = _multiplier_newton(
-            system, q, drift, h, h, cfg, warm
+            system, q, drift, h, h, config, warm
         )
         return EulerIntermediate(
             q=q_next, p_hat=p_hat, v_hat=v_hat, multiplier=lam, newton_iters=iters
         )
-    GT_k = _gt(system.dg_dq(q))
 
-    def residual(u):
-        v_hat, lam = u[..., :n], u[..., n:]
+    def momentum_jacobian(v_hat):
         q_next = q + h * v_hat
-        r1 = system.dL_dv(q_next, v_hat) - drift - h * _apply(GT_k, lam)
-        r2 = system.constraint(q_next)
-        return np.concatenate([r1, r2], axis=-1)
+        return system.d2L_dv2(q_next, v_hat) + h * system.d2L_dqdv(q_next, v_hat)
 
-    def jacobian(u):
-        v_hat = u[..., :n]
-        q_next = q + h * v_hat
-        J11 = system.d2L_dv2(q_next, v_hat) + h * system.d2L_dqdv(q_next, v_hat)
-        J21 = h * system.dg_dq(q_next)
-        return _saddle_jacobian(J11, -h * GT_k, J21)
-
-    if warm is None:
-        warm = np.concatenate([v, np.zeros(q.shape[:-1] + (k,))], axis=-1)
-    sol = newton_solve(residual, warm, cfg, jacobian=jacobian)
-    v_hat, lam = sol.x[..., :n], sol.x[..., n:]
+    v_hat, lam, iters = _euler_newton(
+        system, q, h, drift, lambda v_hat: system.dL_dv(q + h * v_hat, v_hat),
+        momentum_jacobian, config, warm, v,
+    )
     q_next = q + h * v_hat
     return EulerIntermediate(
         q=q_next,
         p_hat=system.dL_dv(q_next, v_hat),
         v_hat=v_hat,
         multiplier=lam,
-        newton_iters=sol.iterations,
+        newton_iters=iters,
     )
 
 
@@ -385,18 +375,17 @@ def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResu
     lam2.  Any other system takes ``vprk_step`` on the trapezoidal tableau,
     with which the separable form agrees to solver tolerance.
     """
-    cfg = config or DEFAULT_NEWTON
     if system.mass is None:
         tableau = builtin_tableaux()["rattle_trapezoidal"]
-        return _vprk_core(system, tableau, x, h, cfg, nu=None, dW=None, v=v, warm=warm)
+        return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v, warm=warm)
     q, p = x.q, x.p
     if v is None:
-        v = legendre_velocity(system, q, p, cfg)
+        v = legendre_velocity(system, q, p, config)
     q_next, p_half, v_half, lam1, iters = _multiplier_newton(
-        system, q, p + 0.5 * h * system.dL_dq(q, v), h, 0.5 * h, cfg, warm
+        system, q, p + 0.5 * h * system.dL_dq(q, v), h, 0.5 * h, config, warm
     )
     p_hat = p_half + 0.5 * h * system.dL_dq(q_next, v_half)
-    p_next, v_next, lam2, proj_iters = _project(system, q_next, p_hat, 0.5 * h, cfg)
+    p_next, v_next, lam2, proj_iters = _project(system, q_next, p_hat, 0.5 * h, config)
     stages = InternalStages(
         Q=np.stack([q, q_next], axis=-2),
         V=np.stack([v_half, v_half], axis=-2),
@@ -430,7 +419,6 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
     nu_j * (1 - a_ji / b_i) enter the internal momenta and nu-weighted
     increments enter the final momentum.
     """
-    cfg = config or DEFAULT_NEWTON
     q, p = x.q, x.p
     n = system.dim_q
     k = system.dim_g
@@ -444,7 +432,7 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         stage_noise_w = tableau.noise_stage_weights() * np.asarray(nu)[None, :]
 
     if v is None:
-        v = legendre_velocity(system, q, p, cfg)
+        v = legendre_velocity(system, q, p, config)
 
     def stage_sigma(Q):
         return np.einsum("...m,...smn->...sn", dW, noise_gradients(system, Q))
@@ -482,14 +470,14 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
              np.zeros(batch + ((s - 1) * k,))],
             axis=-1,
         )
-    sol = newton_solve(residual, warm, cfg, stacked_fd=True)
+    sol = newton_solve(residual, warm, config, stacked_fd=True)
     V, lam, Q, forces = assemble(sol.x)
     q_next = q + h * np.einsum("j,...jn->...n", b, V)
     p_hat = p + h * np.einsum("j,...jn->...n", b, forces)
     if with_noise:
         sigma = stage_sigma(Q)
         p_hat = p_hat + np.einsum("j,...jn->...n", np.asarray(nu, dtype=float), sigma)
-    p_next, v_next, mu, proj_iters = _project(system, q_next, p_hat, h, cfg, v0=V[..., -1, :])
+    p_next, v_next, mu, proj_iters = _project(system, q_next, p_hat, h, config, v0=V[..., -1, :])
     # The projection multiplier carries weight h; expressed as the last
     # internal multiplier (weight h * b_s) it must be rescaled by 1 / b_s.
     lam_last = mu / b[-1]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DerivativeMismatch
-from .solver import _COND_LIMIT, DEFAULT_NEWTON, newton_solve
+from .solver import _COND_LIMIT, newton_solve
 
 __all__ = [
     "MechanicalSystem",
@@ -201,7 +201,6 @@ def legendre_velocity(system, q, p, config=None, v0=None):
     Newton iteration with the exact Jacobian d2L_dv2; a single iteration
     suffices when L is quadratic in v.
     """
-    cfg = config or DEFAULT_NEWTON
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
 
@@ -212,7 +211,7 @@ def legendre_velocity(system, q, p, config=None, v0=None):
         return system.d2L_dv2(q, v)
 
     start = np.zeros_like(p) if v0 is None else np.asarray(v0, dtype=float)
-    return newton_solve(residual, start, cfg, jacobian=jac).x
+    return newton_solve(residual, start, config, jacobian=jac).x
 
 
 def energy(system, q, p=None, v=None, config=None):

@@ -79,10 +79,12 @@ def _worst(norm, among):
 def _solve_linear(J, r):
     if J.shape[-1] == 1:
         # A 1x1 system: the division LAPACK's solve performs, without its
-        # per-matrix call, and its rule that a zero pivot is singular.
+        # per-matrix call, and its rule that a zero pivot is singular.  Like
+        # LAPACK it is quiet about inf / inf; the NaN is rejected below.
         if np.any(J == 0.0):
             raise SingularJacobian("Singular matrix")
-        delta = r / J[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = r / J[..., 0]
     else:
         try:
             delta = np.linalg.solve(J, r[..., None])[..., 0]

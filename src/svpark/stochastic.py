@@ -32,7 +32,6 @@ from .model import (
     noise_gradients,
 )
 from .reduction import reduced_drift_diffusion
-from .solver import DEFAULT_NEWTON
 from .tableau import check_admissibility, tableau_from_config
 
 __all__ = [
@@ -129,7 +128,6 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
     scheme exists as an error oracle and negative control, not as a
     production integrator.  Returns (q_next, v_next, p_next).
     """
-    cfg = config or DEFAULT_NEWTON
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     p = system.dL_dv(q, v)
@@ -139,7 +137,7 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
         dW = np.asarray(dW, dtype=float)
         p_next = p_next + np.einsum("...nm,...m->...n", dyn.diffusion_p, dW)
     q_next = q + h * v
-    v_next = legendre_velocity(system, q_next, p_next, cfg, v0=v)
+    v_next = legendre_velocity(system, q_next, p_next, config, v0=v)
     return q_next, v_next, p_next
 
 
@@ -213,7 +211,6 @@ def make_stepper(system, method, config=None) -> Stepper:
         unread |= {f"quad.{key}" for key in set(quad) - {"nu", "kappa"}}
     if unread:
         raise ConfigInvalid(f"integrator keys not read by {name}: {sorted(unread)}")
-    cfg = config or DEFAULT_NEWTON
     rk = None
     if "tableau" in keys:
         tableau = tableau_from_config(spec.get("tableau", "rattle_trapezoidal"))
@@ -227,7 +224,7 @@ def make_stepper(system, method, config=None) -> Stepper:
         rk = (tableau, _stage_weights(tableau, quad))
 
     def step(state, v, dW, h, warm):
-        result = step_fn(system, cfg, rk, state, v, dW, h, warm)
+        result = step_fn(system, config, rk, state, v, dW, h, warm)
         return result, result.velocity, result.warm
 
     return Stepper(step, uses_noise)
@@ -241,8 +238,7 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     (StepResult, velocity) after each step.  Errors raised by a step are
     re-raised with the step index, step count and step size prepended.
     """
-    cfg = config or DEFAULT_NEWTON
-    stepper = make_stepper(system, method, cfg)
+    stepper = make_stepper(system, method, config)
     if increments is None:
         if stepper.uses_noise and system.num_noise > 0:
             raise ValueError("stochastic method requires increments")
@@ -254,7 +250,7 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
         q=np.array(np.broadcast_to(x0.q, shape), dtype=float),
         p=np.array(np.broadcast_to(x0.p, shape), dtype=float),
     )
-    v = legendre_velocity(system, state.q, state.p, cfg)
+    v = legendre_velocity(system, state.q, state.p, config)
     warm = None
     for step_index in range(num_steps):
         dW = increments[..., step_index] if increments is not None else None
@@ -309,7 +305,6 @@ def simulate_path(
     once, on the stacked states.  Errors raised by a step are re-raised as
     ``integrate`` re-raises them.
     """
-    cfg = config or DEFAULT_NEWTON
     increments = None
     if paths is not None:
         if h is None:
@@ -332,9 +327,9 @@ def simulate_path(
     p = np.empty_like(q)
     v = np.empty_like(q)
     q[0], p[0] = x0.q, x0.p
-    v[0] = legendre_velocity(system, q[0], p[0], cfg)
+    v[0] = legendre_velocity(system, q[0], p[0], config)
     iters, multipliers = [], []
-    steps = integrate(system, method, x0, increments, h, num_steps, cfg)
+    steps = integrate(system, method, x0, increments, h, num_steps, config)
     for i, (result, velocity) in enumerate(steps, 1):
         q[i], p[i], v[i] = result.state.q, result.state.p, velocity
         iters.append(result.newton_iters)

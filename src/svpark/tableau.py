@@ -156,6 +156,6 @@ def tableau_from_config(spec) -> ButcherTableau:
         return builtin_tableaux()[spec]
     if isinstance(spec, ButcherTableau):
         return spec
-    if isinstance(spec, dict) and "a" in spec and "b" in spec:
+    if isinstance(spec, dict) and set(spec) == {"a", "b"}:
         return ButcherTableau(a=spec["a"], b=spec["b"])
     raise ValueError(f"cannot interpret tableau spec {spec!r}")

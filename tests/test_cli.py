@@ -36,8 +36,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_off_manifold_initial_state_rejected_with_hint(tmp_path, capsys):
-    # The hint is best-effort: at q = 0 the projection meets degenerate
-    # constraint gradients, at 1e200 it does not converge.
+    # The hint is best-effort: at q = 0 the retraction meets degenerate
+    # constraint gradients, at 1e200 g and its gradient overflow.
     for q0, hinted in ((1.1, True), (0.0, False), (1e200, False)):
         config = write_config(
             tmp_path, initial_state={"q": [q0, 0.0, 0.0], "p": [0.0, 0.0, 0.0]}
@@ -441,6 +441,8 @@ REJECTED = {
     "tableau-unknown": (vprk("radau"), 2),
     "tableau-b-wrong-length": (vprk({"a": [[0.0, 0.0], [0.5, 0.5]], "b": [1.0]}), 2),
     "tableau-without-a": (vprk({"b": [1.0]}), 2),
+    "tableau-unknown-key": (
+        vprk({"a": [[0.0, 0.0], [0.5, 0.5]], "b": [0.5, 0.5], "bb": [1, 2]}), 2),
     "q-not-numbers": (state(q=("a", 0.0, 0.0)), 2),
     "q-nan": (state(q=(float("nan"), 0.0, 0.0)), 2),
     "q-infinite": (state(q=(float("inf"), 0.0, 0.0)), 2),

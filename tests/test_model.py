@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import svpark as sv
-from svpark.exceptions import DerivativeMismatch
+from svpark.exceptions import DerivativeMismatch, SingularJacobian
 
 from conftest import random_states, variable_mass_sphere
 
@@ -105,6 +105,21 @@ def test_project_state_fixes_points_already_on_manifold(pendulum):
     state = sv.project_state(pendulum, q, p)
     assert np.max(np.abs(state.q - q)) <= 1e-14
     assert np.max(np.abs(state.p - p)) <= 1e-12
+
+
+def test_project_state_is_the_radial_projection_on_the_sphere(pendulum):
+    rng = np.random.default_rng(29)
+    q_raw = 2.0 * rng.standard_normal((64, 3))
+    state = sv.project_state(pendulum, q_raw, rng.standard_normal((64, 3)))
+    radial = q_raw / np.linalg.norm(q_raw, axis=-1, keepdims=True)
+    assert np.max(np.abs(state.q - radial)) <= 1e-13
+
+
+def test_project_state_names_the_degenerate_batch_element(pendulum):
+    # dg_dq vanishes at q = 0: no constraint normal to retract along.
+    q = np.array([[1.0, 0.0, 0.2], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(SingularJacobian, match="batch index 1"):
+        sv.project_state(pendulum, q, np.zeros((3, 3)))
 
 
 def test_project_state_with_configuration_dependent_mass():

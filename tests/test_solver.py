@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,18 @@ def test_singular_jacobian_detected():
             lambda x: np.stack([x[..., 0] + x[..., 1], x[..., 0] + x[..., 1]], axis=-1),
             np.array([1.0, 2.0]),
         )
+
+
+def test_one_unknown_with_infinite_residual_and_slope_is_quietly_singular():
+    # inf / inf in the 1x1 division: like LAPACK's solve, no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match="non-finite update"):
+            sv.newton_solve(
+                lambda x: np.full_like(x, np.inf),
+                np.ones(1),
+                jacobian=lambda x: np.full(x.shape + (1,), np.inf),
+            )
 
 
 def test_batched_solution_matches_single():
