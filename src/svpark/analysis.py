@@ -40,12 +40,13 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_SIZE = 512
+_SYMPLECTIC_EPS = 1e-5  # perturbation of the central differences
 
 
 def _linregress_slope(x, y):
     """Slope and its standard error, computed as ``scipy.stats.linregress``
     computes them, operation for operation, so the results are bitwise
-    equal; scipy.stats alone would take most of svpark's import time."""
+    equal without a dependency on scipy."""
     if np.amax(x) == np.amin(x) and len(x) > 1:
         raise ValueError("cannot fit a slope: all step sizes are equal")
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
@@ -304,9 +305,11 @@ def _tangent_darboux_basis(system, x0: State, config):
     """Orthonormal-then-symplectic basis of the phase-manifold tangent space.
 
     The tangent space at (q, p) is the kernel of the linearization of the
-    configuration constraint and the hidden velocity constraint.  A plain
-    orthonormal kernel basis is rotated and scaled (via the real Schur form
-    of the restricted symplectic form) into a Darboux basis E with
+    configuration constraint and the hidden velocity constraint.  On an
+    orthonormal kernel basis K the symplectic form restricts to the real
+    skew matrix S = K^T J K, so iS is Hermitian.  For each positive
+    eigenvalue mu of iS, with eigenvector x + iy, S x = mu y and
+    S y = -mu x; the pairs (y, x) sqrt(2 / mu) form a Darboux basis E with
     E^T J E equal to the canonical block matrix, so a symplectic step map
     must satisfy D^T J D = Omega exactly in these coordinates.
     """
@@ -330,44 +333,40 @@ def _tangent_darboux_basis(system, x0: State, config):
     K = Vt[2 * k :].T
     d = n - k
     J = _canonical_J(n)
-    S = K.T @ J @ K
-    # Imported here: scipy.linalg takes about 0.3 s to import and only this check needs it.
-    from scipy.linalg import schur
-
-    T, Z = schur(S, output="real")
-    us, ws = [], []
-    for i in range(d):
-        mu = T[2 * i, 2 * i + 1]
-        z1, z2 = Z[:, 2 * i], Z[:, 2 * i + 1]
-        if mu < 0:
-            mu, z1, z2 = -mu, z2, z1
-        if mu <= 1e-12:
-            raise RankDeficient("restricted symplectic form is degenerate")
-        us.append(z1 / np.sqrt(mu))
-        ws.append(z2 / np.sqrt(mu))
-    E = K @ np.stack(us + ws, axis=1)
+    mu, Z = np.linalg.eigh(1j * (K.T @ J @ K))
+    mu, Z = mu[d:], Z[:, d:]  # ascending, so the d positive eigenvalues come last
+    if mu[0] <= 1e-12:
+        raise RankDeficient("restricted symplectic form is degenerate")
+    scale = np.sqrt(2.0 / mu)
+    E = K @ np.concatenate([Z.imag * scale, Z.real * scale], axis=1)
     omega = _canonical_J(d)
     if np.max(np.abs(E.T @ J @ E - omega)) > 1e-9:
         raise RankDeficient("failed to build a Darboux basis")
     return E, omega, J
 
 
-def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=None):
+def symplecticity_check(system, step, x0: State, h, dW=None, config=None):
     """Finite-difference test of canonical-form preservation by a step map.
 
     Builds a Darboux basis of the tangent space of the phase manifold at
-    ``x0``, perturbs along each basis direction (composing with a
-    projection back onto the manifold), applies the step map, and returns
-    the infinity norm of D^T J D - Omega for the central-difference
-    Jacobian D.  Values at the finite-difference floor (about 1e-7 with the
-    default eps and solver tolerance) indicate a symplectic map;
-    non-symplectic maps show residuals growing with h.
+    the single state ``x0``, perturbs along each basis direction by
+    +-1e-5 (composing with a projection back onto the manifold), applies
+    the step map, and returns the infinity norm of D^T J D - Omega for the
+    central-difference Jacobian D.  Values at the finite-difference floor
+    (about 5e-11 with the default solver tolerance) indicate a symplectic
+    map; non-symplectic maps show residuals growing with h.
 
     ``step`` is either a method name/spec or a callable
-    (system, state, h, dW) -> State.  ``dW`` is held fixed, so for
-    stochastic methods this tests the map at one frozen realization.
+    (system, state, h, dW) -> State.  All perturbed states are projected
+    and stepped as one batch, so a callable receives a State whose arrays
+    have a leading batch axis and must broadcast over it, as every svpark
+    step does.  ``dW`` is held fixed, so for stochastic methods this tests
+    the map at one frozen realization.
     """
     q0, p0 = x0.q, x0.p
+    n = system.dim_q
+    if np.shape(q0) != (n,) or np.shape(p0) != (n,):
+        raise ValueError(f"symplecticity_check takes one state: q and p of shape ({n},)")
     if max(constraint_residual(system, q0), hidden_residual(system, q0, p=p0)) > 1e-9:
         raise ValueError("x0 must lie on the phase manifold")
     if callable(step):
@@ -380,16 +379,10 @@ def symplecticity_check(system, step, x0: State, h, dW=None, eps=1e-5, config=No
             return result.state
 
     E, omega, J = _tangent_darboux_basis(system, x0, config)
-    n = system.dim_q
     dim = E.shape[1]
-    D = np.empty((2 * n, dim))
-    for i in range(dim):
-        cols = []
-        for sign in (+1.0, -1.0):
-            dq = sign * eps * E[:n, i]
-            dp = sign * eps * E[n:, i]
-            xs = project_state(system, q0 + dq, p0 + dp, config=config)
-            ys = step_map(system, xs, h, dW)
-            cols.append(np.concatenate([ys.q, ys.p]))
-        D[:, i] = (cols[0] - cols[1]) / (2 * eps)
+    offsets = _SYMPLECTIC_EPS * np.concatenate([E.T, -E.T])  # +eps rows, then -eps rows
+    xs = project_state(system, q0 + offsets[:, :n], p0 + offsets[:, n:], config=config)
+    ys = step_map(system, xs, h, dW)
+    Y = np.concatenate([ys.q, ys.p], axis=-1)
+    D = ((Y[:dim] - Y[dim:]) / (2 * _SYMPLECTIC_EPS)).T
     return float(np.max(np.abs(D.T @ J @ D - omega)))

@@ -198,6 +198,7 @@ def _resolve(config):
     if not steps <= _MAX_STEPS:  # also catches an overflow to infinity
         raise ConfigInvalid(f"step h = {h} gives {steps:.3g} steps, more than {_MAX_STEPS}")
     num_steps = args["num_steps"] = int(round(steps))
+    args["t0"] = t0
     if abs(num_steps * h - (t1 - t0)) > 1e-9:
         raise ConfigInvalid(f"step h = {h} does not divide the horizon length {t1 - t0}")
     if stochastic:
@@ -213,12 +214,12 @@ def _resolve(config):
 # Phase 2: one function per study, each returning (header, rows, summary lines)
 
 
-def _trajectory(system, method, x0, config, h, num_steps, paths=None):
+def _trajectory(system, method, x0, config, h, num_steps, t0, paths=None):
     traj = simulate_path(system, method, x0, paths, h=h, num_steps=num_steps, config=config)
     coordinates = [f"{x}{i + 1}" for x in "qp" for i in range(system.dim_q)]
     header = ["t", *coordinates, "constraint", "hidden", "energy"]
     rows = np.column_stack(
-        [traj.times, traj.q, traj.p, traj.constraint, traj.hidden, traj.energy]
+        [t0 + traj.times, traj.q, traj.p, traj.constraint, traj.hidden, traj.energy]
     )
     return header, rows, [
         f"steps: {num_steps}  h: {_fmt(h)}",

@@ -255,6 +255,34 @@ def test_symplecticity_rejects_off_manifold_start(pendulum):
         )
 
 
+def test_symplecticity_rejects_a_batch_of_states(pendulum):
+    x = sv.State(q=np.tile([1.0, 0.0, 0.0], (2, 1)), p=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="takes one state"):
+        sv.symplecticity_check(pendulum, "rattle", x, 1e-3)
+
+
+def test_symplecticity_projects_and_steps_once(pendulum, monkeypatch):
+    # All perturbed states go through one projection and one step-map call.
+    projections, steps = [], []
+    project_state = sv.analysis.project_state
+
+    def counted_projection(*args, **kwargs):
+        projections.append(args[1].shape)
+        return project_state(*args, **kwargs)
+
+    def identity(system, state, h, dW):
+        steps.append(state.q.shape)
+        return state
+
+    monkeypatch.setattr(sv.analysis, "project_state", counted_projection)
+    x = sv.project_state(pendulum, np.array([0.2, -0.4, 0.9]), np.array([0.1, 0.0, 0.3]))
+    sv.symplecticity_check(pendulum, identity, x, 1e-3)
+    sv.symplecticity_check(pendulum, "rattle", x, 1e-3)
+    # The tangent space of the sphere's phase manifold has dimension 4.
+    assert projections == [(8, 3), (8, 3)]
+    assert steps == [(8, 3)]
+
+
 def test_drift_metrics_equilibrium_energy(pendulum):
     # At the hanging equilibrium the energy is the potential alone,
     # q . e3 = -1, and stays exactly constant.

@@ -127,6 +127,20 @@ def test_separable_steps_agree_with_the_general_path(model, method):
         assert max(g_a, hidden_a, g_b, hidden_b) <= 1e-11
 
 
+@pytest.mark.parametrize("method", README_METHODS)
+def test_symplecticity_with_two_constraints(method):
+    # The circle's tangent space is the kernel of a 4 x 6 linearization and
+    # its Darboux basis has one pair; the explicit reference is the control.
+    system = circle_system()
+    x = sv.State(q=np.array([np.sqrt(0.91), 0.0, 0.3]), p=np.array([0.0, 1.0, 0.0]))
+    dW = np.array([0.01, -0.02, 0.03])
+    residual = sv.symplecticity_check(system, method, x, 1e-3, dW=dW)
+    if method == "euler_maruyama_ref":
+        assert residual >= 1e-6
+    else:
+        assert residual <= 1e-9
+
+
 @pytest.mark.parametrize("separable", [True, False], ids=["separable", "general"])
 def test_zero_noise_sve_is_euler_b_path_by_path(pendulum, separable):
     system = pendulum if separable else replace(pendulum, mass=None)
