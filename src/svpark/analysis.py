@@ -361,7 +361,8 @@ def symplecticity_check(system, step, x0: State, h, dW=None, config=None):
     and stepped as one batch, so a callable receives a State whose arrays
     have a leading batch axis and must broadcast over it, as every svpark
     step does.  ``dW`` is held fixed, so for stochastic methods this tests
-    the map at one frozen realization.
+    the map at one frozen realization; a named method that reads noise
+    raises ValueError without it (see ``make_stepper``).
     """
     q0, p0 = x0.q, x0.p
     n = system.dim_q
@@ -375,8 +376,7 @@ def symplecticity_check(system, step, x0: State, h, dW=None, config=None):
         stepper = make_stepper(system, step, config)
 
         def step_map(sys_, state, h_, dW_):
-            result, _, _ = stepper.step(state, None, dW_, h_, None)
-            return result.state
+            return stepper.step(state, None, dW_, h_, None).state
 
     E, omega, J = _tangent_darboux_basis(system, x0, config)
     dim = E.shape[1]

@@ -58,13 +58,15 @@ class InternalStages:
 
 @dataclass
 class StepResult:
-    """One step's state, stages and multipliers.
+    """One step's state, stages and multipliers, and what the next step reads.
 
     ``newton_iters`` counts the step's Newton iterations plus the
     projection's: for a separable system the multiplier Newton's iterations
     plus 1 for the closed-form projection.  ``velocity`` is the Legendre
-    velocity of the new state and ``warm`` the solution to start the next
-    step's Newton iteration from.
+    velocity of the new state.  ``warm`` is the step's position multipliers
+    ``multipliers[0]`` on a separable system, where they start the next
+    step's multiplier Newton, and None otherwise: every other Newton starts
+    from the carried velocity and zero multipliers.
     """
 
     state: State
@@ -124,8 +126,8 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
         return _saddle_jacobian(system.d2L_dv2(q, u[..., :n]), -scale * GT, G)
 
     v = legendre_velocity(system, q, p_hat, config) if v0 is None else v0
-    warm = np.concatenate([v, np.zeros(G.shape[:-1])], axis=-1)
-    sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    start = np.concatenate([v, np.zeros(G.shape[:-1])], axis=-1)
+    sol = newton_solve(residual, start, config, jacobian=jacobian)
     v, mu = sol.x[..., :n], sol.x[..., n:]
     return p_hat + scale * _apply(GT, mu), v, mu, sol.iterations
 
@@ -224,9 +226,9 @@ def _multiplier_newton(system, q, d, h, c, config, warm):
     )
 
 
-def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, warm, v):
+def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, v):
     """Newton on (v_hat, lam) for momentum(v_hat) = target + h G(q)^T lam and
-    g(q + h v_hat) = 0, started from ``warm`` or else from (v, 0).
+    g(q + h v_hat) = 0, started from (v, 0).
     ``momentum_jacobian`` is the v_hat-Jacobian of ``momentum``.  Returns
     v_hat, lam and the Newton iteration count.
     """
@@ -243,13 +245,12 @@ def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, war
         J21 = h * system.dg_dq(q + h * v_hat)
         return _saddle_jacobian(momentum_jacobian(v_hat), -h * GT, J21)
 
-    if warm is None:
-        warm = np.concatenate([v, np.zeros(q.shape[:-1] + (system.dim_g,))], axis=-1)
-    sol = newton_solve(residual, warm, config, jacobian=jacobian)
+    start = np.concatenate([v, np.zeros(q.shape[:-1] + (system.dim_g,))], axis=-1)
+    sol = newton_solve(residual, start, config, jacobian=jacobian)
     return sol.x[..., :n], sol.x[..., n:], sol.iterations
 
 
-def variational_euler_a_step(system, x: State, h, config=None, warm=None, v=None):
+def variational_euler_a_step(system, x: State, h, config=None, v=None, warm=None):
     """One step of the first variational Euler scheme.
 
     The position update is q_next = q + h * v_hat with the momentum drift
@@ -258,18 +259,19 @@ def variational_euler_a_step(system, x: State, h, config=None, warm=None, v=None
     velocity constraint; compose with ``projection_step``.  For a separable
     system dL_dq does not depend on v and the scheme is the second Euler
     scheme.  ``v``, the Legendre velocity of ``x`` when the caller has it,
-    saves a Legendre solve.
+    saves a Legendre solve; ``warm``, the previous step's multipliers,
+    starts a separable system's multiplier Newton.
     """
     if system.mass is not None:
         return _euler_b_core(system, x, h, None, config, v=v, warm=warm)
     q, p = x.q, x.p
-    if warm is None and v is None:
+    if v is None:
         v = legendre_velocity(system, q, p, config)
     v_hat, lam, iters = _euler_newton(
         system, q, h, p,
         lambda v_hat: system.dL_dv(q, v_hat) - h * system.dL_dq(q, v_hat),
         lambda v_hat: system.d2L_dv2(q, v_hat) - h * _gt(system.d2L_dqdv(q, v_hat)),
-        config, warm, v,
+        config, v,
     )
     return EulerIntermediate(
         q=q + h * v_hat,
@@ -305,7 +307,7 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
 
     v_hat, lam, iters = _euler_newton(
         system, q, h, drift, lambda v_hat: system.dL_dv(q + h * v_hat, v_hat),
-        momentum_jacobian, config, warm, v,
+        momentum_jacobian, config, v,
     )
     q_next = q + h * v_hat
     return EulerIntermediate(
@@ -331,25 +333,21 @@ def _projected_step(system, intermediate, h, config) -> StepResult:
     p, v, mu, proj_iters = _project(
         system, intermediate.q, intermediate.p_hat, h, config, v0=intermediate.v_hat
     )
-    if system.mass is not None:
-        warm = intermediate.multiplier
-    else:
-        warm = np.concatenate([intermediate.v_hat, intermediate.multiplier], axis=-1)
     return StepResult(
         state=State(q=intermediate.q, p=p),
         stages=None,
         multipliers=[intermediate.multiplier, mu],
         newton_iters=intermediate.newton_iters + proj_iters,
         velocity=v,
-        warm=warm,
+        warm=intermediate.multiplier if system.mass is not None else None,
     )
 
 
 def euler_a_with_projection(
-    system, x: State, h, config=None, warm=None, v=None
+    system, x: State, h, config=None, v=None, warm=None
 ) -> StepResult:
     return _projected_step(
-        system, variational_euler_a_step(system, x, h, config, warm, v), h, config
+        system, variational_euler_a_step(system, x, h, config, v, warm), h, config
     )
 
 
@@ -377,7 +375,7 @@ def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResu
     """
     if system.mass is None:
         tableau = builtin_tableaux()["rattle_trapezoidal"]
-        return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v, warm=warm)
+        return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v)
     q, p = x.q, x.p
     if v is None:
         v = legendre_velocity(system, q, p, config)
@@ -406,7 +404,7 @@ def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResu
 # General constrained partitioned Runge-Kutta step
 
 
-def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
+def _vprk_core(system, tableau, x, h, config, nu, dW, v):
     """Shared implicit solve behind the deterministic and stochastic
     partitioned Runge-Kutta steps.
 
@@ -417,7 +415,8 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
     momentum update, where it is determined by the end-of-step projection.
     When ``nu``/``dW`` are given, stage noise increments weighted by
     nu_j * (1 - a_ji / b_i) enter the internal momenta and nu-weighted
-    increments enter the final momentum.
+    increments enter the final momentum.  Newton starts every stage
+    velocity at the Legendre velocity ``v`` of ``x`` and the multipliers at 0.
     """
     q, p = x.q, x.p
     n = system.dim_q
@@ -425,7 +424,6 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
     s = tableau.s
     a, b = tableau.a, tableau.b
     ahat = tableau.conjugate_weights()
-    batch = q.shape[:-1]
     with_noise = dW is not None and system.num_noise > 0
     if with_noise:
         dW = np.asarray(dW, dtype=float)
@@ -464,13 +462,8 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
             axis=-1,
         )
 
-    if warm is None:
-        warm = np.concatenate(
-            [np.broadcast_to(v[..., None, :], batch + (s, n)).reshape(batch + (s * n,)),
-             np.zeros(batch + ((s - 1) * k,))],
-            axis=-1,
-        )
-    sol = newton_solve(residual, warm, config, stacked_fd=True)
+    start = np.concatenate([np.tile(v, s), np.zeros(q.shape[:-1] + ((s - 1) * k,))], axis=-1)
+    sol = newton_solve(residual, start, config, stacked_fd=True)
     V, lam, Q, forces = assemble(sol.x)
     q_next = q + h * np.einsum("j,...jn->...n", b, V)
     p_hat = p + h * np.einsum("j,...jn->...n", b, forces)
@@ -493,12 +486,11 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v, warm):
         multipliers=[lam, lam_last],
         newton_iters=sol.iterations + proj_iters,
         velocity=v_next,
-        warm=sol.x,
     )
 
 
 def vprk_step(
-    system, tableau: ButcherTableau, x: State, h, config=None, v=None, warm=None
+    system, tableau: ButcherTableau, x: State, h, config=None, v=None
 ) -> StepResult:
     """One step of the constrained variational partitioned Runge-Kutta scheme.
 
@@ -508,4 +500,4 @@ def vprk_step(
     tolerance, and the internal stages satisfy the discrete stage equations.
     """
     check_admissibility(tableau).require()
-    return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v, warm=warm)
+    return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v)

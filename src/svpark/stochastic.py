@@ -107,8 +107,7 @@ def stochastic_variational_euler_step(
 
 
 def stochastic_vprk_step(
-    system, tableau, quad: StochasticQuadrature | None, x: State, dW, h,
-    config=None, v=None, warm=None,
+    system, tableau, quad: StochasticQuadrature | None, x: State, dW, h, config=None, v=None
 ) -> StepResult:
     """One step of the stochastic constrained partitioned Runge-Kutta scheme.
 
@@ -117,7 +116,7 @@ def stochastic_vprk_step(
     as known constants inside the implicit stage equations.
     """
     nu = _stage_weights(tableau, quad)
-    return _vprk_core(system, tableau, x, h, config, nu=nu, dW=dW, v=v, warm=warm)
+    return _vprk_core(system, tableau, x, h, config, nu=nu, dW=dW, v=v)
 
 
 def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
@@ -145,7 +144,7 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
 # Method table, the integration loop and the trajectory recorder
 
 
-# step(state, v, dW, h, warm) -> (StepResult, v, warm); uses_noise: reads dW.
+# step(state, v, dW, h, warm) -> StepResult; uses_noise: reads dW.
 Stepper = namedtuple("Stepper", "step uses_noise")
 
 
@@ -170,11 +169,11 @@ _METHODS = {
     "rattle": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         rattle_step(system, x, h, cfg, v=v, warm=warm)),
     "vprk": (False, ("tableau",), lambda system, cfg, rk, x, v, dW, h, warm:
-        _vprk_core(system, rk[0], x, h, cfg, nu=None, dW=None, v=v, warm=warm)),
+        _vprk_core(system, rk[0], x, h, cfg, nu=None, dW=None, v=v)),
     "stochastic_vprk": (True, ("tableau", "quad"), lambda system, cfg, rk, x, v, dW, h, warm:
-        _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v, warm=warm)),
+        _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v)),
     "euler_a": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
-        euler_a_with_projection(system, x, h, cfg, warm=warm, v=v)),
+        euler_a_with_projection(system, x, h, cfg, v=v, warm=warm)),
     "euler_b": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         euler_b_with_projection(system, x, h, cfg, v=v, warm=warm)),
     "stochastic_variational_euler": (True, (), lambda system, cfg, rk, x, v, dW, h, warm:
@@ -195,6 +194,8 @@ def make_stepper(system, method, config=None) -> Stepper:
     does not read, and ConditionViolated
     for an inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
     ``quad.kappa`` (accepted only as all zeros, so old manifests replay).
+    A step of a method that reads noise, on a system with m > 0 noise
+    channels, raises ValueError unless ``dW`` has last axis m.
     """
     spec = {"method": method} if isinstance(method, str) else method
     if not isinstance(spec, dict) or not isinstance(spec.get("method"), str):
@@ -223,9 +224,13 @@ def make_stepper(system, method, config=None) -> Stepper:
             quad = StochasticQuadrature(nu=quad["nu"])
         rk = (tableau, _stage_weights(tableau, quad))
 
+    m = system.num_noise if uses_noise else 0
+
     def step(state, v, dW, h, warm):
-        result = step_fn(system, config, rk, state, v, dW, h, warm)
-        return result, result.velocity, result.warm
+        if m and np.shape(dW)[-1:] != (m,):
+            got = "none" if dW is None else f"shape {np.shape(dW)}"
+            raise ValueError(f"{name} needs increments dW with last axis {m}, got {got}")
+        return step_fn(system, config, rk, state, v, dW, h, warm)
 
     return Stepper(step, uses_noise)
 
@@ -234,17 +239,19 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     """Advance ``x0`` by ``num_steps`` steps of size ``h``; a generator.
 
     ``increments`` has shape (..., m, steps), or is None for a method that
-    reads no noise; ``x0`` is broadcast to its batch shape (...).  Yields
+    reads no noise; ``x0`` is broadcast to its batch shape (...).  Raises
+    ValueError when ``num_steps`` exceeds the increments' steps.  Yields
     (StepResult, velocity) after each step.  Errors raised by a step are
     re-raised with the step index, step count and step size prepended.
     """
     stepper = make_stepper(system, method, config)
     if increments is None:
-        if stepper.uses_noise and system.num_noise > 0:
-            raise ValueError("stochastic method requires increments")
         batch = np.shape(x0.q)[:-1]
     else:
         batch = increments.shape[:-2]
+        available = increments.shape[-1]
+        if num_steps > available:
+            raise ValueError(f"num_steps = {num_steps} exceeds the {available} increment steps")
     shape = batch + (system.dim_q,)
     state = State(
         q=np.array(np.broadcast_to(x0.q, shape), dtype=float),
@@ -255,12 +262,12 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     for step_index in range(num_steps):
         dW = increments[..., step_index] if increments is not None else None
         try:
-            result, v, warm = stepper.step(state, v, dW, h, warm)
+            result = stepper.step(state, v, dW, h, warm)
         except Exception as err:
             detail = err.args[0] if err.args else err
             err.args = (f"step {step_index} of {num_steps} at h = {h}: {detail}",)
             raise
-        state = result.state
+        state, v, warm = result.state, result.velocity, result.warm
         yield result, v
 
 
@@ -318,8 +325,6 @@ def simulate_path(
         increments = noise.coarsen_array(paths.block(path_index, path_index + 1), factor)[0]
         if num_steps is None:
             num_steps = increments.shape[-1]
-        elif num_steps > increments.shape[-1]:
-            raise ValueError("num_steps exceeds available increments")
     elif num_steps is None or h is None:
         raise ValueError("h and num_steps are required without paths")
 

@@ -82,18 +82,9 @@ def test_3_deterministic_rattle_order_two():
 
 
 def _max_residuals(system, method, x0, increments, h, num_steps):
-    stepper = sv.make_stepper(system, method)
-    batch = x0.q.shape[:-1] or (increments.shape[0],)
-    q = np.broadcast_to(x0.q, batch + (3,)).copy()
-    p = np.broadcast_to(x0.p, batch + (3,)).copy()
-    state = sv.State(q=q, p=p)
-    v = sv.legendre_velocity(system, state.q, state.p)
-    warm = None
     worst_g = 0.0
     worst_hidden = 0.0
-    for k in range(num_steps):
-        dW = increments[:, :, k] if increments is not None else None
-        result, v, warm = stepper.step(state, v, dW, h, warm)
+    for result, v in sv.integrate(system, method, x0, increments, h, num_steps):
         state = result.state
         worst_g = max(worst_g, float(np.max(np.abs(system.constraint(state.q)))))
         Gv = (system.dg_dq(state.q) @ v[..., None])[..., 0]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,73 @@ def test_step_failure_names_step_and_batch_element(pendulum):
     assert message.startswith("step 0 of 4 at h = 0.25: no convergence after 1 iterations")
     assert f"at batch index {int(np.argmax(singles))})" in message
     assert info.value.last_residual == pytest.approx(max(singles), rel=1e-6)
+
+
+NOISE_METHODS = [
+    "stochastic_variational_euler",
+    {"method": "stochastic_vprk", "tableau": "rattle_trapezoidal"},
+    "euler_maruyama_ref",
+]
+
+
+@pytest.mark.parametrize("method", NOISE_METHODS, ids=["sve", "stochastic_vprk", "em_ref"])
+def test_noise_methods_require_increments_on_every_channel(pendulum, pendulum_quiet, method):
+    # One rule in the stepper: a method that reads noise, on a system with
+    # m > 0 channels, steps only with increments whose last axis is m.
+    x = sv.project_state(pendulum, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.3, 0.1]))
+    cases = [
+        (None, "got none"),
+        (sv.generate(3, 2, 2, 4).increments, r"got shape \(2, 2\)"),
+    ]
+    for increments, got in cases:
+        with pytest.raises(ValueError, match=f"step 0 of 4 .*last axis 3, {got}"):
+            list(sv.integrate(pendulum, method, x, increments, 0.25, 4))
+    with pytest.raises(ValueError, match="last axis 3, got none"):
+        sv.symplecticity_check(pendulum, method, x, 1e-3)
+    # A system without noise channels needs no increments.
+    assert len(list(sv.integrate(pendulum_quiet, method, x, None, 0.25, 4))) == 4
+
+
+def test_integrate_rejects_more_steps_than_increments_before_stepping(pendulum):
+    steps = sv.integrate(
+        pendulum, "stochastic_variational_euler", X0, sv.generate(4, 2, 3, 4).increments, 0.25, 5
+    )
+    with pytest.raises(ValueError, match="num_steps = 5 exceeds the 4 increment steps"):
+        next(steps)
+
+
+CARRY_CASES = [
+    *(pytest.param(True, {"method": method, "tableau": tableau}, id=f"{method}-{tableau}")
+      for method in ("vprk", "stochastic_vprk")
+      for tableau in ("rattle_trapezoidal", "lobatto_iiia_3")),
+    *(pytest.param(separable, method, id=f"{'separable' if separable else 'general'}-{method}")
+      for separable in (False, True)
+      for method in ("euler_a", "euler_b", "stochastic_variational_euler", "rattle")),
+]
+
+
+@pytest.mark.parametrize("separable, method", CARRY_CASES)
+def test_only_the_separable_multiplier_newton_carries_a_warm_start(pendulum, separable, method):
+    # Between steps integrate carries the state, its Legendre velocity and
+    # StepResult.warm, which is the position multipliers on a separable
+    # system and None on every other path: there each step is bitwise a
+    # fresh stepper call from the previous state and velocity.
+    system = pendulum if separable else replace(pendulum, mass=None)
+    general = system.mass is None or isinstance(method, dict)
+    states = random_states(system, 4, np.random.default_rng(17))
+    x = sv.State(q=np.stack([s.q for s in states]), p=np.stack([s.p for s in states]))
+    increments = sv.generate(17, 4, 3, 16).increments
+    stepper = sv.make_stepper(system, method)
+    v = sv.legendre_velocity(system, x.q, x.p)
+    warm = None
+    steps = sv.integrate(system, method, x, increments if stepper.uses_noise else None, 1 / 16, 16)
+    for i, (result, _) in enumerate(steps):
+        fresh = stepper.step(x, v, increments[..., i], 1 / 16, warm)
+        for a, b in [(fresh.state.q, result.state.q), (fresh.state.p, result.state.p),
+                     (fresh.velocity, result.velocity)]:
+            assert np.array_equal(a, b)
+        if general:
+            assert result.warm is None
+        else:
+            assert np.array_equal(result.warm, result.multipliers[0])
+        x, v, warm = result.state, result.velocity, result.warm
