@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import State, legendre_velocity, noise_gradients
-from .solver import NewtonConfig, _solve_mass, newton_solve, schur_multiplier_solve
+from .solver import NewtonConfig, _apply_inverse, newton_solve, schur_multiplier_solve
 from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 
 __all__ = [
@@ -113,7 +113,9 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
     GT = _gt(G)
     if system.mass is not None:
         # M v + G^T lam = p_hat, G v = 0: lam = -scale * mu.
-        v, lam = schur_multiplier_solve(system.mass, G, p_hat, np.zeros(G.shape[:-1]))
+        v, lam = schur_multiplier_solve(
+            system.mass, G, p_hat, np.zeros(G.shape[:-1]), inverse=system.mass_inverse
+        )
         return p_hat - _apply(GT, lam), v, -lam / scale, 1
     n = system.dim_q
 
@@ -213,7 +215,7 @@ def _multiplier_newton(system, q, d, h, c, config, warm):
     """
     GT = _gt(system.dg_dq(q))
     k = GT.shape[-1]
-    solved = _solve_mass(system.mass, np.concatenate([GT, d[..., None]], axis=-1))
+    solved = _apply_inverse(system.mass_inverse, np.concatenate([GT, d[..., None]], axis=-1))
     MinvGT, Minv_d = solved[..., :k], solved[..., k]
     q_next, sol = _shake_newton(system, q + h * Minv_d, (h * c) * MinvGT, config, warm)
     lam = sol.x
@@ -433,7 +435,7 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v):
         v = legendre_velocity(system, q, p, config)
 
     def stage_sigma(Q):
-        return np.einsum("...m,...smn->...sn", dW, noise_gradients(system, Q))
+        return (dW[..., None, None, :] @ noise_gradients(system, Q))[..., 0, :]
 
     # The batch shape comes from u, not from q: the finite-difference
     # Jacobian stacks its perturbed columns on an added leading axis.
@@ -442,19 +444,15 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v):
         V = u[..., : s * n].reshape(lead + (s, n))
         lam = u[..., s * n :].reshape(lead + (s - 1, k))
         lam_full = np.concatenate([lam, np.zeros(lead + (1, k))], axis=-2)
-        Q = q[..., None, :] + h * np.einsum("ij,...jn->...in", a, V)
+        Q = q[..., None, :] + h * (a @ V)
         forces = system.dL_dq(Q, V) + _apply(_gt(system.dg_dq(Q)), lam_full)
         return V, lam, Q, forces
 
     def residual(u):
         V, _, Q, forces = assemble(u)
-        r1 = (
-            system.dL_dv(Q, V)
-            - p[..., None, :]
-            - h * np.einsum("ij,...jn->...in", ahat, forces)
-        )
+        r1 = system.dL_dv(Q, V) - p[..., None, :] - h * (ahat @ forces)
         if with_noise:
-            r1 = r1 - np.einsum("ij,...jn->...in", stage_noise_w, stage_sigma(Q))
+            r1 = r1 - stage_noise_w @ stage_sigma(Q)
         r2 = system.constraint(Q[..., 1:, :])
         lead = u.shape[:-1]
         return np.concatenate(

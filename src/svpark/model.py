@@ -54,7 +54,9 @@ class MechanicalSystem:
     all three).  The Euler, SVE and RATTLE steps then solve for the k
     multipliers alone and the hidden-constraint projection is one
     closed-form saddle solve; without it (the default) every step solves
-    for velocities and multipliers together.  A copy made with
+    for velocities and multipliers together.  M^{-1} is formed once, here,
+    as the read-only ``mass_inverse`` (None without a declaration), and
+    every step applies it instead of solving with M.  A copy made with
     ``dataclasses.replace`` keeps the declaration, so a copy with other
     kinetic callbacks must restate or drop it (``mass=None``).
     """
@@ -74,6 +76,8 @@ class MechanicalSystem:
     dgamma_dq: tuple = field(default=())
     # Left out of == and hash(): an array has neither a truth value nor a hash.
     mass: np.ndarray = field(default=None, compare=False)
+    # M^{-1}, formed once from ``mass`` (None without it); derived, not an argument.
+    mass_inverse: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.dim_g < self.dim_q:
@@ -95,7 +99,10 @@ class MechanicalSystem:
                     f"mass must be a finite, symmetric, invertible ({n}, {n}) array"
                 )
             mass.setflags(write=False)
+            inverse = np.linalg.inv(mass)
+            inverse.setflags(write=False)
             object.__setattr__(self, "mass", mass)
+            object.__setattr__(self, "mass_inverse", inverse)
 
 
 @dataclass
@@ -198,11 +205,15 @@ def noise_gradients(system, q):
 def legendre_velocity(system, q, p, config=None, v0=None):
     """Invert the Legendre transform: the v with dL_dv(q, v) = p.
 
-    Newton iteration with the exact Jacobian d2L_dv2; a single iteration
-    suffices when L is quadratic in v.
+    Newton iteration with the exact Jacobian d2L_dv2, started at ``v0``
+    (default 0); a single iteration suffices when L is quadratic in v.  A
+    separable system starts at the root M^{-1} p instead, so Newton only
+    checks its residual and returns after 0 iterations.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+    if system.mass is not None:
+        v0 = p @ system.mass_inverse.T
 
     def residual(v):
         return system.dL_dv(q, v) - p

@@ -3,7 +3,8 @@
 Differentiating the constraint twice along the flow and substituting the
 momentum equation determines the multiplier in closed form.  The algebra is
 organized around two matrices built from the constraint Jacobian G = dg_dq
-and the kinetic metric M = d2L_dv2:
+and the kinetic metric M = d2L_dv2 (a separable system's declared mass,
+applied through its ``mass_inverse``):
 
 - the Gram matrix  G M^{-1} G^T  (k x k, invertible when G has full rank),
 - the oblique projector  G^T Gram^{-1} G M^{-1}  (n x n, idempotent),
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import noise_gradients
-from .solver import _schur_complement
+from .solver import _schur_complement, _solve_schur
 
 __all__ = [
     "ProjectionMatrices",
@@ -46,16 +47,18 @@ class ReducedDynamics:
 
 
 def _gram_pieces(system, q, v):
-    """G^T, the Gram matrix and the projector B, from one solve with M.
+    """G^T, the Gram matrix and the projector B, from one solve with M (a
+    product with M^{-1} on a separable system).
 
     Raises RankDeficient when M or the Gram matrix is singular.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     G = system.dg_dq(q)
-    MinvGT, _, gram = _schur_complement(system.d2L_dv2(q, v), G)
+    M = system.d2L_dv2(q, v) if system.mass is None else system.mass
+    MinvGT, _, gram = _schur_complement(M, G, inverse=system.mass_inverse)
     GT = np.swapaxes(G, -1, -2)
-    B = GT @ np.linalg.solve(gram, np.swapaxes(MinvGT, -1, -2))
+    B = GT @ _solve_schur(gram, np.swapaxes(MinvGT, -1, -2))
     return GT, gram, B
 
 
@@ -81,13 +84,15 @@ def reduced_drift_diffusion(system, q, v) -> ReducedDynamics:
 
     force = system.dL_dq(q, v)
     hess_vv = system.d2g_dq2_vv(q, v)
-    curvature = (GT @ np.linalg.solve(gram, hess_vv[..., None]))[..., 0]
-    coriolis = (system.d2L_dqdv(q, v) @ v[..., None])[..., 0]
+    curvature = (GT @ _solve_schur(gram, hess_vv[..., None]))[..., 0]
 
     def project_out(w):
         return w - (B @ w[..., None])[..., 0]
 
-    drift = project_out(force) - curvature + (B @ coriolis[..., None])[..., 0]
+    drift = project_out(force) - curvature
+    if system.mass is None:  # a separable system declares d2L_dqdv = 0
+        coriolis = (system.d2L_dqdv(q, v) @ v[..., None])[..., 0]
+        drift = drift + (B @ coriolis[..., None])[..., 0]
     grads = noise_gradients(system, q)
     projected_rows = grads - grads @ np.swapaxes(B, -1, -2)
     return ReducedDynamics(

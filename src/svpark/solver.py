@@ -171,25 +171,26 @@ def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> Newt
     return NewtonResult(x=x, iterations=iterations, residual=float(np.max(norm)))
 
 
-def _solve_mass(M, rhs):
-    """M^{-1} rhs for rhs of shape (..., n, r).
+def _apply_inverse(inverse, rhs):
+    """inverse @ rhs for an unbatched (n, n) inverse and rhs of shape (..., n, r).
 
-    An unbatched (n, n) M against a batched rhs is factored (inverted) once
-    and applied to every right-hand side of the batch as the columns of one
-    matrix product, which is far cheaper than broadcasting M into one LAPACK
-    solve per element, or than one LAPACK solve with all the columns.
-    Otherwise each M is solved against its rhs.
+    The right-hand sides of the whole batch are the columns of one matrix
+    product, which is far cheaper than broadcasting M into one LAPACK solve
+    per element, or than one LAPACK solve with all the columns.  Like
+    LAPACK it is quiet about non-finite entries; callers reject the result.
     """
-    if M.ndim > 2 or rhs.ndim == 2:
-        return np.linalg.solve(M, rhs)
     columns = rhs.swapaxes(0, -2)
-    solved = np.linalg.inv(M) @ columns.reshape(M.shape[-1], -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        solved = inverse @ columns.reshape(inverse.shape[-1], -1)
     return solved.reshape(columns.shape).swapaxes(0, -2)
 
 
-def _schur_complement(M, G, extra=None):
+def _schur_complement(M, G, extra=None, inverse=None):
     """Solve M against G^T and the columns of ``extra`` (..., n, r), and form
-    S = G M^{-1} G^T.  Returns (M^{-1} G^T, M^{-1} extra or None, S).
+    S = G M^{-1} G^T.  Returns (M^{-1} G^T, M^{-1} extra or None, S).  A
+    batched M is solved per element; an unbatched one is inverted for the
+    call, or not at all when its ``inverse`` is given, and applied with
+    ``_apply_inverse``.
 
     The one singularity rule for S, raising RankDeficient: a non-finite
     entry; for k = 1 a zero pivot (a finite non-zero 1x1 matrix has
@@ -199,7 +200,9 @@ def _schur_complement(M, G, extra=None):
     k = GT.shape[-1]
     rhs = GT if extra is None else np.concatenate([GT, extra], axis=-1)
     try:
-        solved = _solve_mass(M, rhs)
+        if inverse is None and M.ndim == 2:
+            inverse = np.linalg.inv(M)
+        solved = np.linalg.solve(M, rhs) if inverse is None else _apply_inverse(inverse, rhs)
     except np.linalg.LinAlgError as err:
         raise RankDeficient(f"primal block not invertible: {err}") from err
     MinvGT = solved[..., :k]
@@ -218,11 +221,20 @@ def _schur_complement(M, G, extra=None):
     return MinvGT, None if extra is None else solved[..., k:], S
 
 
-def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
+def _solve_schur(S, rhs):
+    """S^{-1} rhs for rhs of shape (..., k, r), with S already judged
+    non-singular by ``_schur_complement``: by division when k = 1."""
+    if S.shape[-1] == 1:
+        return rhs / S
+    return np.linalg.solve(S, rhs)
+
+
+def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint, *, inverse=None):
     """Solve the saddle system M x + G^T lam = rhs_primal, G x = rhs_constraint.
 
     M is (..., n, n) invertible, G is (..., k, n) with full row rank; an
-    unbatched (n, n) M is factored once for the whole batch.  The
+    unbatched (n, n) M is inverted once for the whole batch, or not at all
+    when its ``inverse`` M^{-1} is given (a system's ``mass_inverse``).  The
     multiplier is eliminated through the Schur complement S = G M^{-1} G^T,
     by division when k = 1; raises RankDeficient when S is numerically
     singular (see ``_schur_complement``).  Returns (x, lam) with shapes
@@ -232,12 +244,9 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     G = np.asarray(G, dtype=float)
     rp = np.asarray(rhs_primal, dtype=float)
     rc = np.asarray(rhs_constraint, dtype=float)
-    MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
+    MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None], inverse)
     Minv_rp = Minv_rp[..., 0]
     resid = (G @ Minv_rp[..., None])[..., 0] - rc
-    if S.shape[-1] == 1:
-        lam = resid / S[..., 0]  # S has no zero pivot: _schur_complement checked
-    else:
-        lam = np.linalg.solve(S, resid[..., None])[..., 0]
+    lam = _solve_schur(S, resid[..., None])[..., 0]
     x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]
     return x, lam

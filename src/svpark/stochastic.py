@@ -84,6 +84,15 @@ def _stage_weights(tableau, quad):
     return quad.nu
 
 
+def _require_increments(name, system, dW):
+    """The noise rule: a step of a method that reads noise, on a system with
+    m > 0 noise channels, raises ValueError unless ``dW`` has last axis m."""
+    m = system.num_noise
+    if m and np.shape(dW)[-1:] != (m,):
+        got = "none" if dW is None else f"shape {np.shape(dW)}"
+        raise ValueError(f"{name} needs increments dW with last axis {m}, got {got}")
+
+
 def stochastic_variational_euler_step(
     system, x: State, dW, h, config=None, v=None, warm=None
 ) -> StepResult:
@@ -94,10 +103,12 @@ def stochastic_variational_euler_step(
     current position, the configuration constraint is enforced at the new
     position, and the end-of-step projection restores the hidden velocity
     constraint.  With zero increments this is exactly the deterministic
-    implicit-Euler variational step composed with the projection.
+    implicit-Euler variational step composed with the projection.  Raises
+    ValueError unless ``dW`` has last axis m on a system with m > 0 channels.
     """
+    _require_increments("stochastic_variational_euler", system, dW)
     q = x.q
-    if dW is None or system.num_noise == 0:
+    if system.num_noise == 0:
         kick = None
     else:
         dW = np.asarray(dW, dtype=float)
@@ -112,9 +123,11 @@ def stochastic_vprk_step(
     """One step of the stochastic constrained partitioned Runge-Kutta scheme.
 
     Requires an admissible tableau and one weight per stage; ``quad``
-    defaults to nu = b.  The increments ``dW`` (shape (..., m)) are treated
-    as known constants inside the implicit stage equations.
+    defaults to nu = b.  The increments ``dW`` (shape (..., m), required
+    when m > 0) are treated as known constants inside the implicit stage
+    equations.
     """
+    _require_increments("stochastic_vprk", system, dW)
     nu = _stage_weights(tableau, quad)
     return _vprk_core(system, tableau, x, h, config, nu=nu, dW=dW, v=v)
 
@@ -125,14 +138,16 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
     Integrates the reduced momentum equation without re-enforcing the
     constraint, so trajectories drift off the constraint set at O(h); the
     scheme exists as an error oracle and negative control, not as a
-    production integrator.  Returns (q_next, v_next, p_next).
+    production integrator.  Returns (q_next, v_next, p_next).  Raises
+    ValueError unless ``dW`` has last axis m on a system with m > 0 channels.
     """
+    _require_increments("euler_maruyama_ref", system, dW)
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     p = system.dL_dv(q, v)
     dyn = reduced_drift_diffusion(system, q, v)
     p_next = p + h * dyn.drift_p
-    if dW is not None and system.num_noise > 0:
+    if system.num_noise > 0:
         dW = np.asarray(dW, dtype=float)
         p_next = p_next + np.einsum("...nm,...m->...n", dyn.diffusion_p, dW)
     q_next = q + h * v
@@ -224,25 +239,25 @@ def make_stepper(system, method, config=None) -> Stepper:
             quad = StochasticQuadrature(nu=quad["nu"])
         rk = (tableau, _stage_weights(tableau, quad))
 
-    m = system.num_noise if uses_noise else 0
-
     def step(state, v, dW, h, warm):
-        if m and np.shape(dW)[-1:] != (m,):
-            got = "none" if dW is None else f"shape {np.shape(dW)}"
-            raise ValueError(f"{name} needs increments dW with last axis {m}, got {got}")
+        if uses_noise:
+            _require_increments(name, system, dW)
         return step_fn(system, config, rk, state, v, dW, h, warm)
 
     return Stepper(step, uses_noise)
 
 
 def integrate(system, method, x0: State, increments, h, num_steps, config=None):
-    """Advance ``x0`` by ``num_steps`` steps of size ``h``; a generator.
+    """Advance ``x0`` by ``num_steps`` steps of size ``h``; returns a generator.
 
     ``increments`` has shape (..., m, steps), or is None for a method that
-    reads no noise; ``x0`` is broadcast to its batch shape (...).  Raises
-    ValueError when ``num_steps`` exceeds the increments' steps.  Yields
-    (StepResult, velocity) after each step.  Errors raised by a step are
-    re-raised with the step index, step count and step size prepended.
+    reads no noise; ``x0`` is broadcast to its batch shape (...).  The
+    arguments are checked, and the initial Legendre velocity formed, at the
+    call, before any step: ``make_stepper``'s errors for the method, and
+    ValueError when ``num_steps`` exceeds the increments' steps.  The
+    generator yields (StepResult, velocity) after
+    each step.  Errors raised by a step are re-raised with the step index,
+    step count and step size prepended.
     """
     stepper = make_stepper(system, method, config)
     if increments is None:
@@ -258,6 +273,11 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
         p=np.array(np.broadcast_to(x0.p, shape), dtype=float),
     )
     v = legendre_velocity(system, state.q, state.p, config)
+    return _steps(stepper, state, v, increments, h, num_steps)
+
+
+def _steps(stepper, state, v, increments, h, num_steps):
+    """The integration loop behind ``integrate``."""
     warm = None
     for step_index in range(num_steps):
         dW = increments[..., step_index] if increments is not None else None

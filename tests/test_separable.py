@@ -154,3 +154,65 @@ def test_zero_noise_sve_is_euler_b_path_by_path(pendulum, separable):
         assert np.array_equal(a.state.q, b.state.q)
         assert np.array_equal(a.state.p, b.state.p)
         assert np.array_equal(va, vb)
+
+
+def test_mass_inverse_is_derived_once_and_read_only():
+    system = circle_system()
+    assert np.allclose(system.mass_inverse @ system.mass, np.eye(3), rtol=0.0, atol=1e-15)
+    assert not system.mass_inverse.flags.writeable
+    assert "mass_inverse" not in repr(system)
+    assert replace(system, mass=None).mass_inverse is None
+    with pytest.raises(ValueError, match="init=False"):
+        replace(system, mass_inverse=np.eye(3))
+
+
+@pytest.mark.parametrize("method", ["stochastic_variational_euler", "rattle", "euler_maruyama_ref"])
+@pytest.mark.parametrize("paths", [1, 8])
+def test_separable_steps_make_no_inverse_call(monkeypatch, method, paths):
+    # M^{-1} is formed when the system is built; the step loop only applies it.
+    system = sv.spherical_pendulum()
+    increments = sv.generate(19, paths, 3, 64).increments
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or inv(a))
+    x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.4, 0.1]))
+    assert len(list(sv.integrate(system, method, x0, increments, 1 / 64, 64))) == 64
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", ["pendulum", "circle"])
+def test_separable_legendre_velocity_is_checked_not_iterated(monkeypatch, model):
+    from svpark import model as model_module
+
+    system = sv.spherical_pendulum() if model == "pendulum" else circle_system()
+    p = np.random.default_rng(23).standard_normal((16, 3))
+    q = np.broadcast_to(np.array([1.0, 0.0, 0.0]), p.shape)
+    iterations = []
+    newton_solve = model_module.newton_solve
+
+    def counted(*args, **kwargs):
+        sol = newton_solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(model_module, "newton_solve", counted)
+    v = sv.legendre_velocity(system, q, p)
+    general = sv.legendre_velocity(replace(system, mass=None), q, p)
+    assert iterations[0] == 0 and iterations[1] >= 1
+    assert np.max(np.abs(system.dL_dv(q, v) - p)) <= 1e-12
+    assert np.max(np.abs(v - general)) <= 1e-15
+
+
+@pytest.mark.parametrize("model", ["pendulum", "circle"])
+def test_reduction_agrees_with_and_without_the_mass_declaration(model):
+    system = sv.spherical_pendulum() if model == "pendulum" else circle_system()
+    general = replace(system, mass=None)
+    states = random_states(system, 64, np.random.default_rng(29))
+    q = np.stack([s.q for s in states])
+    v = sv.legendre_velocity(general, q, np.stack([s.p for s in states]))
+    a, b = sv.reduced_drift_diffusion(system, q, v), sv.reduced_drift_diffusion(general, q, v)
+    assert np.max(np.abs(a.drift_p - b.drift_p)) <= 1e-14
+    assert np.max(np.abs(a.diffusion_p - b.diffusion_p)) <= 1e-14
+    a, b = sv.projection_matrices(system, q, v), sv.projection_matrices(general, q, v)
+    assert np.max(np.abs(a.gram - b.gram)) <= 1e-14
+    assert np.max(np.abs(a.projector - b.projector)) <= 1e-14

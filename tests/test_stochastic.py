@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import svpark as sv
-from svpark.exceptions import ConditionViolated, InvalidResolution, NameNotFound, NoConvergence
+from svpark.exceptions import (
+    ConditionViolated,
+    ConfigInvalid,
+    InvalidResolution,
+    NameNotFound,
+    NoConvergence,
+)
 from svpark.noise import coarsen_array
 
 from conftest import random_states
@@ -286,12 +292,47 @@ def test_noise_methods_require_increments_on_every_channel(pendulum, pendulum_qu
     assert len(list(sv.integrate(pendulum_quiet, method, x, None, 0.25, 4))) == 4
 
 
+def test_public_noise_steps_follow_the_stepper_noise_rule(pendulum, pendulum_quiet):
+    # Called directly, each stochastic step raises the stepper's ValueError
+    # instead of taking the deterministic map (dW=None) or failing to
+    # broadcast (a wrong last axis).
+    tab = sv.builtin_tableaux()["rattle_trapezoidal"]
+    x = sv.project_state(pendulum, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.3, 0.1]))
+    v = sv.legendre_velocity(pendulum, x.q, x.p)
+    steps = {
+        "stochastic_variational_euler":
+            lambda system, dW: sv.stochastic_variational_euler_step(system, x, dW, 0.01),
+        "stochastic_vprk":
+            lambda system, dW: sv.stochastic_vprk_step(system, tab, None, x, dW, 0.01),
+        "euler_maruyama_ref":
+            lambda system, dW: sv.euler_maruyama_reference_step(system, x.q, v, dW, 0.01),
+    }
+    for name, step in steps.items():
+        for dW, got in [(None, "got none"), (np.zeros(2), r"got shape \(2,\)")]:
+            with pytest.raises(ValueError, match=f"^{name} needs increments dW with last "
+                               f"axis 3, {got}$"):
+                step(pendulum, dW)
+        step(pendulum, np.zeros(3))
+        step(pendulum_quiet, None)
+
+
+def test_integrate_checks_its_arguments_at_the_call(pendulum):
+    # No next(): integrate is a plain function that checks, then returns
+    # the generator that steps.
+    increments = sv.generate(4, 2, 3, 4).increments
+    with pytest.raises(NameNotFound):
+        sv.integrate(pendulum, "leapfrog", X0, increments, 0.25, 4)
+    with pytest.raises(ConfigInvalid):
+        sv.integrate(pendulum, {"method": "rattle", "tableau": "euler_a"}, X0, None, 0.25, 4)
+    with pytest.raises(ConditionViolated):
+        sv.integrate(pendulum, {"method": "stochastic_vprk", "quad": {"nu": [1.0]}},
+                     X0, increments, 0.25, 4)
+
+
 def test_integrate_rejects_more_steps_than_increments_before_stepping(pendulum):
-    steps = sv.integrate(
-        pendulum, "stochastic_variational_euler", X0, sv.generate(4, 2, 3, 4).increments, 0.25, 5
-    )
     with pytest.raises(ValueError, match="num_steps = 5 exceeds the 4 increment steps"):
-        next(steps)
+        sv.integrate(pendulum, "stochastic_variational_euler", X0,
+                     sv.generate(4, 2, 3, 4).increments, 0.25, 5)
 
 
 CARRY_CASES = [
