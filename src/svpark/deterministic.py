@@ -113,9 +113,7 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
     GT = _gt(G)
     if system.mass is not None:
         # M v + G^T lam = p_hat, G v = 0: lam = -scale * mu.
-        v, lam = schur_multiplier_solve(
-            system.mass, G, p_hat, np.zeros(G.shape[:-1]), inverse=system.mass_inverse
-        )
+        v, lam = schur_multiplier_solve(system.mass, G, p_hat, np.zeros(G.shape[:-1]))
         return p_hat - _apply(GT, lam), v, -lam / scale, 1
     n = system.dim_q
 

@@ -55,8 +55,9 @@ class MechanicalSystem:
     multipliers alone and the hidden-constraint projection is one
     closed-form saddle solve; without it (the default) every step solves
     for velocities and multipliers together.  M^{-1} is formed once, here,
-    as the read-only ``mass_inverse`` (None without a declaration), and
-    every step applies it instead of solving with M.  A copy made with
+    as the read-only ``mass_inverse`` (None without a declaration); the
+    multiplier Newton, the Legendre inverse and the reduction apply it
+    instead of solving with M.  A copy made with
     ``dataclasses.replace`` keeps the declaration, so a copy with other
     kinetic callbacks must restate or drop it (``mass=None``).
     """

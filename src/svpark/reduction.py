@@ -55,7 +55,7 @@ def _gram_pieces(system, q, v):
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     G = system.dg_dq(q)
-    M = system.d2L_dv2(q, v) if system.mass is None else system.mass
+    M = system.d2L_dv2(q, v) if system.mass is None else None
     MinvGT, _, gram = _schur_complement(M, G, inverse=system.mass_inverse)
     GT = np.swapaxes(G, -1, -2)
     B = GT @ _solve_schur(gram, np.swapaxes(MinvGT, -1, -2))

@@ -176,21 +176,33 @@ def _apply_inverse(inverse, rhs):
 
     The right-hand sides of the whole batch are the columns of one matrix
     product, which is far cheaper than broadcasting M into one LAPACK solve
-    per element, or than one LAPACK solve with all the columns.  Like
-    LAPACK it is quiet about non-finite entries; callers reject the result.
+    per element, or than one LAPACK solve with all the columns.  Like a
+    LAPACK solve it does not warn on an infinite entry (inf * 0); the
+    caller rejects the non-finite result.
     """
     columns = rhs.swapaxes(0, -2)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):
         solved = inverse @ columns.reshape(inverse.shape[-1], -1)
     return solved.reshape(columns.shape).swapaxes(0, -2)
 
 
-def _schur_complement(M, G, extra=None, inverse=None):
+def _solve_mass(M, rhs):
+    """M^{-1} rhs for rhs of shape (..., n, r).
+
+    An unbatched (n, n) M against a batched rhs is factored (inverted) once
+    and applied with ``_apply_inverse``.  Otherwise each M is solved
+    against its rhs.
+    """
+    if M.ndim > 2 or rhs.ndim == 2:
+        return np.linalg.solve(M, rhs)
+    return _apply_inverse(np.linalg.inv(M), rhs)
+
+
+def _schur_complement(M, G, extra=None, *, inverse=None):
     """Solve M against G^T and the columns of ``extra`` (..., n, r), and form
     S = G M^{-1} G^T.  Returns (M^{-1} G^T, M^{-1} extra or None, S).  A
-    batched M is solved per element; an unbatched one is inverted for the
-    call, or not at all when its ``inverse`` is given, and applied with
-    ``_apply_inverse``.
+    separable system passes M=None and its ``mass_inverse`` as ``inverse``,
+    which is applied instead of solving with M.
 
     The one singularity rule for S, raising RankDeficient: a non-finite
     entry; for k = 1 a zero pivot (a finite non-zero 1x1 matrix has
@@ -199,12 +211,13 @@ def _schur_complement(M, G, extra=None, inverse=None):
     GT = np.swapaxes(G, -1, -2)
     k = GT.shape[-1]
     rhs = GT if extra is None else np.concatenate([GT, extra], axis=-1)
-    try:
-        if inverse is None and M.ndim == 2:
-            inverse = np.linalg.inv(M)
-        solved = np.linalg.solve(M, rhs) if inverse is None else _apply_inverse(inverse, rhs)
-    except np.linalg.LinAlgError as err:
-        raise RankDeficient(f"primal block not invertible: {err}") from err
+    if inverse is not None:
+        solved = _apply_inverse(inverse, rhs)
+    else:
+        try:
+            solved = _solve_mass(M, rhs)
+        except np.linalg.LinAlgError as err:
+            raise RankDeficient(f"primal block not invertible: {err}") from err
     MinvGT = solved[..., :k]
     S = G @ MinvGT
     if not np.all(np.isfinite(S)):
@@ -229,12 +242,11 @@ def _solve_schur(S, rhs):
     return np.linalg.solve(S, rhs)
 
 
-def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint, *, inverse=None):
+def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     """Solve the saddle system M x + G^T lam = rhs_primal, G x = rhs_constraint.
 
     M is (..., n, n) invertible, G is (..., k, n) with full row rank; an
-    unbatched (n, n) M is inverted once for the whole batch, or not at all
-    when its ``inverse`` M^{-1} is given (a system's ``mass_inverse``).  The
+    unbatched (n, n) M is factored once for the whole batch.  The
     multiplier is eliminated through the Schur complement S = G M^{-1} G^T,
     by division when k = 1; raises RankDeficient when S is numerically
     singular (see ``_schur_complement``).  Returns (x, lam) with shapes
@@ -244,7 +256,7 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint, *, inverse=None):
     G = np.asarray(G, dtype=float)
     rp = np.asarray(rhs_primal, dtype=float)
     rc = np.asarray(rhs_constraint, dtype=float)
-    MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None], inverse)
+    MinvGT, Minv_rp, S = _schur_complement(M, G, rp[..., None])
     Minv_rp = Minv_rp[..., 0]
     resid = (G @ Minv_rp[..., None])[..., 0] - rc
     lam = _solve_schur(S, resid[..., None])[..., 0]

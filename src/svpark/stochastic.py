@@ -163,6 +163,12 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
 Stepper = namedtuple("Stepper", "step uses_noise")
 
 
+def _stochastic_vprk_step(system, cfg, rk, x, v, dW, h, warm):
+    # stochastic_vprk_step with the tableau and nu checked once, at build.
+    _require_increments("stochastic_vprk", system, dW)
+    return _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v)
+
+
 def _em_step(system, cfg, rk, x, v, dW, h, warm):
     if v is None:
         v = legendre_velocity(system, x.q, x.p, cfg)
@@ -185,8 +191,7 @@ _METHODS = {
         rattle_step(system, x, h, cfg, v=v, warm=warm)),
     "vprk": (False, ("tableau",), lambda system, cfg, rk, x, v, dW, h, warm:
         _vprk_core(system, rk[0], x, h, cfg, nu=None, dW=None, v=v)),
-    "stochastic_vprk": (True, ("tableau", "quad"), lambda system, cfg, rk, x, v, dW, h, warm:
-        _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v)),
+    "stochastic_vprk": (True, ("tableau", "quad"), _stochastic_vprk_step),
     "euler_a": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
         euler_a_with_projection(system, x, h, cfg, v=v, warm=warm)),
     "euler_b": (False, (), lambda system, cfg, rk, x, v, dW, h, warm:
@@ -240,8 +245,6 @@ def make_stepper(system, method, config=None) -> Stepper:
         rk = (tableau, _stage_weights(tableau, quad))
 
     def step(state, v, dW, h, warm):
-        if uses_noise:
-            _require_increments(name, system, dW)
         return step_fn(system, config, rk, state, v, dW, h, warm)
 
     return Stepper(step, uses_noise)

@@ -166,10 +166,18 @@ def test_mass_inverse_is_derived_once_and_read_only():
         replace(system, mass_inverse=np.eye(3))
 
 
-@pytest.mark.parametrize("method", ["stochastic_variational_euler", "rattle", "euler_maruyama_ref"])
+@pytest.mark.parametrize(
+    "method, per_step",
+    [("stochastic_variational_euler", 1), ("rattle", 1), ("euler_maruyama_ref", 0)],
+)
 @pytest.mark.parametrize("paths", [1, 8])
-def test_separable_steps_make_no_inverse_call(monkeypatch, method, paths):
-    # M^{-1} is formed when the system is built; the step loop only applies it.
+def test_separable_steps_invert_the_mass_only_in_the_projection(
+    monkeypatch, method, per_step, paths
+):
+    # M^{-1} is formed when the system is built: the multiplier Newton and
+    # the reduction only apply it.  The closed-form projection calls the
+    # public schur_multiplier_solve with the bare M, which inverts it once
+    # for the batch.
     system = sv.spherical_pendulum()
     increments = sv.generate(19, paths, 3, 64).increments
     calls = []
@@ -177,7 +185,7 @@ def test_separable_steps_make_no_inverse_call(monkeypatch, method, paths):
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or inv(a))
     x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.4, 0.1]))
     assert len(list(sv.integrate(system, method, x0, increments, 1 / 64, 64))) == 64
-    assert calls == []
+    assert calls == [(3, 3)] * (64 * per_step)
 
 
 @pytest.mark.parametrize("model", ["pendulum", "circle"])
