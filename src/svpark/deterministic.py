@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, legendre_velocity, noise_gradients
-from .solver import NewtonConfig, _apply_inverse, newton_solve, schur_multiplier_solve
+from .model import State, legendre_velocity, noise_force
+from .solver import NewtonConfig, _apply, _apply_inverse, newton_solve, schur_multiplier_solve
 from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 
 __all__ = [
@@ -90,10 +90,6 @@ class EulerIntermediate:
 
 def _gt(mat):
     return np.swapaxes(mat, -1, -2)
-
-
-def _apply(mat, vec):
-    return (mat @ vec[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +429,8 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v):
         v = legendre_velocity(system, q, p, config)
 
     def stage_sigma(Q):
-        return (dW[..., None, None, :] @ noise_gradients(system, Q))[..., 0, :]
+        # dW gains a stage axis to align with Q's (..., s, n).
+        return noise_force(system, Q, dW[..., None, :])
 
     # The batch shape comes from u, not from q: the finite-difference
     # Jacobian stacks its perturbed columns on an added leading axis.

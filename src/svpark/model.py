@@ -41,6 +41,7 @@ __all__ = [
     "constraint_residual",
     "hidden_residual",
     "noise_gradients",
+    "noise_force",
 ]
 
 
@@ -197,6 +198,23 @@ def noise_gradients(system, q):
     if system.num_noise == 0:
         return np.zeros(q.shape[:-1] + (0, q.shape[-1]))
     return np.stack([dg(q) for dg in system.dgamma_dq], axis=-2)
+
+
+def noise_force(system, q, dW):
+    """The noise force sum_r dW_r dgamma_r(q), shape (..., n), for
+    increments dW of shape (..., m) at positions q of shape (..., n).
+
+    Folded channel by channel, in channel order, from +0.0: the bits of
+    np.einsum("...m,...mn->...n", dW, noise_gradients(system, q)), without
+    stacking the m gradients.
+    """
+    if system.num_noise == 0:
+        return np.zeros(q.shape)
+    dW = np.asarray(dW, dtype=float)
+    force = 0.0
+    for r, dgamma in enumerate(system.dgamma_dq):
+        force = force + dW[..., r, None] * dgamma(q)
+    return force
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ def newton_solve(F, x0, config=None, jacobian=None, *, stacked_fd=False) -> Newt
     return NewtonResult(x=x, iterations=iterations, residual=float(np.max(norm)))
 
 
+def _apply(mat, vec):
+    """mat @ vec for mat of shape (..., n, k) and vec of shape (..., k).
+
+    With one column (k = 1) this is the elementwise product
+    mat[..., 0] * vec: the one product matmul forms, without its
+    per-element loop.  The bits are matmul's, except that matmul adds the
+    product to +0.0, so where the product is -0.0 matmul returns +0.0.
+    """
+    if mat.shape[-1] == 1:
+        return mat[..., 0] * vec
+    return (mat @ vec[..., None])[..., 0]
+
+
 def _apply_inverse(inverse, rhs):
     """inverse @ rhs for an unbatched (n, n) inverse and rhs of shape (..., n, r).
 
@@ -260,5 +273,5 @@ def schur_multiplier_solve(M, G, rhs_primal, rhs_constraint):
     Minv_rp = Minv_rp[..., 0]
     resid = (G @ Minv_rp[..., None])[..., 0] - rc
     lam = _solve_schur(S, resid[..., None])[..., 0]
-    x = Minv_rp - (MinvGT @ lam[..., None])[..., 0]
+    x = Minv_rp - _apply(MinvGT, lam)
     return x, lam

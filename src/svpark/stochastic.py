@@ -29,7 +29,7 @@ from .model import (
     energy,
     hidden_residual,
     legendre_velocity,
-    noise_gradients,
+    noise_force,
 )
 from .reduction import reduced_drift_diffusion
 from .tableau import check_admissibility, tableau_from_config
@@ -107,12 +107,7 @@ def stochastic_variational_euler_step(
     ValueError unless ``dW`` has last axis m on a system with m > 0 channels.
     """
     _require_increments("stochastic_variational_euler", system, dW)
-    q = x.q
-    if system.num_noise == 0:
-        kick = None
-    else:
-        dW = np.asarray(dW, dtype=float)
-        kick = np.einsum("...m,...mn->...n", dW, noise_gradients(system, q))
+    kick = noise_force(system, x.q, dW) if system.num_noise else None
     intermediate = _euler_b_core(system, x, h, kick=kick, config=config, v=v, warm=warm)
     return _projected_step(system, intermediate, h, config)
 
@@ -202,6 +197,15 @@ _METHODS = {
 }
 
 
+def _are_zeros(value, count):
+    """Whether ``value`` is ``count`` zeros; a ragged or non-numeric value is not."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return value.shape == (count,) and not np.any(value)
+
+
 def make_stepper(system, method, config=None) -> Stepper:
     """Build a stepper from a method spec, validating the spec once.
 
@@ -212,8 +216,9 @@ def make_stepper(system, method, config=None) -> Stepper:
     stochastic_vprk only.  Raises NameNotFound for an unknown name,
     ConfigInvalid for a spec without a method name or with a key the method
     does not read, and ConditionViolated
-    for an inadmissible tableau, a ``nu`` of the wrong length, or a non-zero
-    ``quad.kappa`` (accepted only as all zeros, so old manifests replay).
+    for an inadmissible tableau, a ``nu`` of the wrong length, or a
+    ``quad.kappa`` other than s zeros, one per stage (zeros are accepted so
+    that old manifests replay).
     A step of a method that reads noise, on a system with m > 0 noise
     channels, raises ValueError unless ``dW`` has last axis m.
     """
@@ -236,10 +241,10 @@ def make_stepper(system, method, config=None) -> Stepper:
     if "tableau" in keys:
         tableau = tableau_from_config(spec.get("tableau", "rattle_trapezoidal"))
         if quad is not None:
-            kappa = np.asarray(quad.get("kappa", 0.0), dtype=float)
-            if np.any(kappa != 0.0):
+            if "kappa" in quad and not _are_zeros(quad["kappa"], tableau.s):
                 raise ConditionViolated(
-                    [f"quadrature kappa = {kappa.tolist()} is not realized (only zeros are)"]
+                    [f"quadrature kappa = {quad['kappa']!r} is not realized "
+                     f"(only {tableau.s} zeros, one per stage, are)"]
                 )
             quad = StochasticQuadrature(nu=quad["nu"])
         rk = (tableau, _stage_weights(tableau, quad))

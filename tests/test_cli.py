@@ -259,7 +259,13 @@ def test_every_readme_method_runs_through_simulate(tmp_path, method, study):
 
 
 @pytest.mark.parametrize(
-    "quad", [{"nu": [0.5, 0.5], "kappa": [0.25, 0.0]}, {"nu": [1.0]}]
+    "quad",
+    [
+        {"nu": [0.5, 0.5], "kappa": [0.25, 0.0]},
+        {"nu": [1.0]},
+        {"nu": [0.5, 0.5], "kappa": [0, 0, 0]},
+        {"nu": [0.5, 0.5], "kappa": [[0, 0], [0, 0]]},
+    ],
 )
 def test_ignored_quadrature_input_is_rejected(tmp_path, capsys, quad):
     config = write_config(

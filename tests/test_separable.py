@@ -224,3 +224,56 @@ def test_reduction_agrees_with_and_without_the_mass_declaration(model):
     a, b = sv.projection_matrices(system, q, v), sv.projection_matrices(general, q, v)
     assert np.max(np.abs(a.gram - b.gram)) <= 1e-14
     assert np.max(np.abs(a.projector - b.projector)) <= 1e-14
+
+
+@pytest.mark.parametrize("model", ["pendulum", "circle"])
+def test_noise_force_is_bitwise_the_einsum_of_the_stacked_gradients(model):
+    from svpark.model import noise_force, noise_gradients
+
+    system = sv.spherical_pendulum() if model == "pendulum" else circle_system()
+    rng = np.random.default_rng(31)
+    q = np.stack([s.q for s in random_states(system, 64, rng)])
+    # -0.0 increments make every product -0.0: the fold starts from +0.0,
+    # as einsum does, so the sum is +0.0 on both sides.
+    increments = (rng.standard_normal((64, 3)), np.full((64, 3), -0.0), rng.standard_normal(3))
+    for dW in increments:
+        stacked = np.einsum("...m,...mn->...n", dW, noise_gradients(system, q))
+        folded = noise_force(system, q, dW)
+        assert folded.shape == stacked.shape
+        assert np.array_equal(folded.view(np.uint64), stacked.view(np.uint64))
+
+
+def oblique_noise(system):
+    """The system with noise gamma_r(q) = sin(a_r . q) along three oblique
+    directions a_r, so every gradient has three non-zero entries and the
+    channel sums overlap in every component."""
+    directions = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.7], [-0.6, 0.4, 1.0]])
+
+    def make(a):
+        return (lambda q: np.sin(q @ a)), (lambda q: np.cos(q @ a)[..., None] * a)
+
+    gammas, dgammas = zip(*(make(a) for a in directions))
+    return replace(system, gamma=gammas, dgamma_dq=dgammas)
+
+
+def test_stochastic_vprk_noise_fold_agrees_with_the_stacked_gradients(monkeypatch):
+    # Folding dW_r grad gamma_r channel by channel is not bitwise the matmul
+    # of dW with the stacked gradients when several channels add to one
+    # component (BLAS may fuse the multiply-adds), so only closeness holds.
+    from svpark import deterministic
+    from svpark.model import noise_gradients
+
+    system = oblique_noise(sv.spherical_pendulum())
+    sample = (np.array([np.sqrt(0.91), 0.0, 0.3]), np.array([0.0, 0.7, 0.0]))
+    assert sv.validate_system(system, [sample]).passed
+    paths = sv.generate(17, 16, 3, 64)
+    x0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.5, 0.0]))
+    folded = _run(system, "stochastic_vprk", x0, paths.increments, paths.h_base, 64)[0]
+
+    def stacked_force(system, q, dW):
+        return (dW[..., None, :] @ noise_gradients(system, q))[..., 0, :]
+
+    monkeypatch.setattr(deterministic, "noise_force", stacked_force)
+    stacked = _run(system, "stochastic_vprk", x0, paths.increments, paths.h_base, 64)[0]
+    assert np.max(np.abs(folded.q - stacked.q)) <= 1e-12
+    assert np.max(np.abs(folded.p - stacked.p)) <= 1e-12

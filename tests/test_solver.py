@@ -264,3 +264,45 @@ def test_singular_jacobian_names_a_batch_element():
     b = np.array([[1.0, 1.0], [5.0, 1.0]])[..., None]
     with pytest.raises(SingularJacobian, match="residual 5.000e[+]00 at batch index 1, 0"):
         sv.newton_solve(lambda x: a * x - b, np.zeros((2, 2, 1)), jacobian=lambda x: a[..., None])
+
+
+def _bits_up_to_zero_sign(a):
+    # +0.0 for both zeros, every other value (NaN included) as its bit pattern.
+    return np.where(a == 0.0, 0.0, a).view(np.uint64)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (4, 5)], ids=str)
+@pytest.mark.parametrize("unbatched_mat", [False, True], ids=["batched", "shared"])
+def test_apply_one_column_is_bitwise_matmul_up_to_the_sign_of_zero(batch, unbatched_mat):
+    from svpark.solver import _apply
+
+    rng = np.random.default_rng(41)
+    mat = rng.standard_normal((3, 1) if unbatched_mat else batch + (3, 1))
+    vec = rng.standard_normal(batch + (1,))
+    # Exact zeros of both signs, infinities and NaN among the entries.
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for a, every in ((mat, 2), (vec, 3)):
+        a.flat[::every] = special[rng.integers(0, 5, a.flat[::every].size)]
+    with np.errstate(invalid="ignore"):
+        expected = (mat @ vec[..., None])[..., 0]
+        got = _apply(mat, vec)
+    assert got.shape == expected.shape
+    assert np.array_equal(_bits_up_to_zero_sign(got), _bits_up_to_zero_sign(expected))
+
+
+def test_apply_warns_like_matmul_on_inf_times_zero():
+    from svpark.solver import _apply
+
+    mat = np.array([[[np.inf], [1.0]]] * 7)
+    vec = np.zeros((7, 1))
+    for product in (lambda: _apply(mat, vec), lambda: (mat @ vec[..., None])[..., 0]):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            product()
+
+
+def test_apply_with_several_columns_is_matmul():
+    from svpark.solver import _apply
+
+    rng = np.random.default_rng(43)
+    mat, vec = rng.standard_normal((4, 5, 3, 2)), rng.standard_normal((4, 5, 2))
+    assert np.array_equal(_apply(mat, vec), (mat @ vec[..., None])[..., 0])

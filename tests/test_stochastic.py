@@ -176,9 +176,16 @@ def test_quadrature_validation(pendulum):
         sv.stochastic_vprk_step(
             pendulum, tab, sv.StochasticQuadrature(nu=[1.0]), x, np.zeros(3), 0.01
         )
-    # Neither a nu of the wrong length nor a non-zero kappa is realized by
-    # the stochastic RK step, so make_stepper rejects both before any step.
-    for quad in ({"nu": [1.0]}, {"nu": [0.5, 0.5], "kappa": [0.1, 0.0]}):
+    # Neither a nu of the wrong length nor a kappa other than s zeros is
+    # realized by the stochastic RK step, so make_stepper rejects them
+    # before any step.
+    for quad in (
+        {"nu": [1.0]},
+        {"nu": [0.5, 0.5], "kappa": [0.1, 0.0]},
+        {"nu": [0.5, 0.5], "kappa": [0.0, 0.0, 0.0]},
+        {"nu": [0.5, 0.5], "kappa": [[0.0, 0.0], [0.0, 0.0]]},
+        {"nu": [0.5, 0.5], "kappa": 0.0},
+    ):
         with pytest.raises(ConditionViolated, match="not admissible: quadrature"):
             sv.make_stepper(pendulum, {"method": "stochastic_vprk", "quad": quad})
     default = sv.default_quadrature(tab)
