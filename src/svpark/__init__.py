@@ -44,7 +44,6 @@ from .tableau import (
 )
 from .solver import NewtonConfig, NewtonResult, newton_solve, schur_multiplier_solve
 from .deterministic import (
-    EulerIntermediate,
     InternalStages,
     StepResult,
     euler_a_with_projection,
@@ -52,8 +51,6 @@ from .deterministic import (
     project_state,
     projection_step,
     rattle_step,
-    variational_euler_a_step,
-    variational_euler_b_step,
     vprk_step,
 )
 from .reduction import (

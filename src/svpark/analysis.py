@@ -171,7 +171,7 @@ def _collect(system, method, x0, paths, h_ladder, ref_refine, config, block_size
     h_ladder, factors = _validate_ladder(paths, h_ladder, ref_refine)
 
     def endpoints(increments, h):
-        for result, _ in integrate(
+        for result in integrate(
             system, method, x0, increments, h, increments.shape[-1], config
         ):
             pass

@@ -31,11 +31,8 @@ from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 __all__ = [
     "InternalStages",
     "StepResult",
-    "EulerIntermediate",
     "projection_step",
     "project_state",
-    "variational_euler_a_step",
-    "variational_euler_b_step",
     "euler_a_with_projection",
     "euler_b_with_projection",
     "rattle_step",
@@ -75,17 +72,6 @@ class StepResult:
     newton_iters: int
     velocity: np.ndarray = None
     warm: np.ndarray = None
-
-
-@dataclass
-class EulerIntermediate:
-    """Unprojected output (q_next, p_hat) of a first-order variational step."""
-
-    q: np.ndarray
-    p_hat: np.ndarray
-    v_hat: np.ndarray
-    multiplier: np.ndarray
-    newton_iters: int
 
 
 def _gt(mat):
@@ -246,18 +232,10 @@ def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, v):
     return sol.x[..., :n], sol.x[..., n:], sol.iterations
 
 
-def variational_euler_a_step(system, x: State, h, config=None, v=None, warm=None):
-    """One step of the first variational Euler scheme.
-
-    The position update is q_next = q + h * v_hat with the momentum drift
-    and the Legendre pairing both evaluated at (q, v_hat).  The returned
-    momentum p_hat satisfies g(q_next) = 0 but not, in general, the hidden
-    velocity constraint; compose with ``projection_step``.  For a separable
-    system dL_dq does not depend on v and the scheme is the second Euler
-    scheme.  ``v``, the Legendre velocity of ``x`` when the caller has it,
-    saves a Legendre solve; ``warm``, the previous step's multipliers,
-    starts a separable system's multiplier Newton.
-    """
+def _euler_a_core(system, x: State, h, config=None, v=None, warm=None):
+    """Implicit solve of the first Euler scheme (see ``euler_a_with_projection``).
+    Returns (q_next, p_hat, v_hat, lam, iterations), as ``_multiplier_newton``
+    does; p_hat satisfies g(q_next) = 0 but not the hidden constraint."""
     if system.mass is not None:
         return _euler_b_core(system, x, h, None, config, v=v, warm=warm)
     q, p = x.q, x.p
@@ -269,19 +247,14 @@ def variational_euler_a_step(system, x: State, h, config=None, v=None, warm=None
         lambda v_hat: system.d2L_dv2(q, v_hat) - h * _gt(system.d2L_dqdv(q, v_hat)),
         config, v,
     )
-    return EulerIntermediate(
-        q=q + h * v_hat,
-        p_hat=system.dL_dv(q, v_hat),
-        v_hat=v_hat,
-        multiplier=lam,
-        newton_iters=iters,
-    )
+    return q + h * v_hat, system.dL_dv(q, v_hat), v_hat, lam, iters
 
 
 def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     """Shared implicit solve for the second Euler scheme and its stochastic
     extension: drift at (q, v) with v the current Legendre velocity, an
     additive momentum kick, and the Legendre pairing at the new position.
+    Returns the tuple of ``_euler_a_core``.
     """
     q, p = x.q, x.p
     if v is None:
@@ -290,12 +263,7 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     if kick is not None:
         drift = drift + kick
     if system.mass is not None:
-        q_next, p_hat, v_hat, lam, iters = _multiplier_newton(
-            system, q, drift, h, h, config, warm
-        )
-        return EulerIntermediate(
-            q=q_next, p_hat=p_hat, v_hat=v_hat, multiplier=lam, newton_iters=iters
-        )
+        return _multiplier_newton(system, q, drift, h, h, config, warm)
 
     def momentum_jacobian(v_hat):
         q_next = q + h * v_hat
@@ -306,53 +274,44 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
         momentum_jacobian, config, v,
     )
     q_next = q + h * v_hat
-    return EulerIntermediate(
-        q=q_next,
-        p_hat=system.dL_dv(q_next, v_hat),
-        v_hat=v_hat,
-        multiplier=lam,
-        newton_iters=iters,
-    )
+    return q_next, system.dL_dv(q_next, v_hat), v_hat, lam, iters
 
 
-def variational_euler_b_step(system, x: State, h, config=None, v=None, warm=None):
-    """One step of the implicit-Euler variational scheme.
-
-    The momentum drift uses the current velocity while the Legendre pairing
-    is taken at the new position.  As with the first Euler scheme the
-    result needs ``projection_step`` to satisfy the hidden constraint.
-    """
-    return _euler_b_core(system, x, h, kick=None, config=config, v=v, warm=warm)
-
-
-def _projected_step(system, intermediate, h, config) -> StepResult:
-    p, v, mu, proj_iters = _project(
-        system, intermediate.q, intermediate.p_hat, h, config, v0=intermediate.v_hat
-    )
-    return StepResult(
-        state=State(q=intermediate.q, p=p),
-        stages=None,
-        multipliers=[intermediate.multiplier, mu],
-        newton_iters=intermediate.newton_iters + proj_iters,
-        velocity=v,
-        warm=intermediate.multiplier if system.mass is not None else None,
-    )
+def _projected_step(system, solved, h, config) -> StepResult:
+    """The StepResult of an Euler core's tuple, with the momentum projected."""
+    q, p_hat, v_hat, lam, iters = solved
+    p, v, mu, proj_iters = _project(system, q, p_hat, h, config, v0=v_hat)
+    warm = lam if system.mass is not None else None
+    return StepResult(State(q=q, p=p), stages=None, multipliers=[lam, mu],
+                      newton_iters=iters + proj_iters, velocity=v, warm=warm)
 
 
 def euler_a_with_projection(
     system, x: State, h, config=None, v=None, warm=None
 ) -> StepResult:
-    return _projected_step(
-        system, variational_euler_a_step(system, x, h, config, v, warm), h, config
-    )
+    """One step of the first variational Euler scheme, then ``projection_step``.
+
+    The position update is q_next = q + h * v_hat with the momentum drift
+    and the Legendre pairing both evaluated at (q, v_hat); the projection
+    restores the hidden velocity constraint.  For a separable system dL_dq
+    does not depend on v and the scheme is ``euler_b_with_projection``.
+    ``v``, the Legendre velocity of ``x`` when the caller has it, saves a
+    Legendre solve; ``warm``, the previous step's position multipliers,
+    starts a separable system's multiplier Newton.
+    """
+    return _projected_step(system, _euler_a_core(system, x, h, config, v, warm), h, config)
 
 
 def euler_b_with_projection(
     system, x: State, h, config=None, v=None, warm=None
 ) -> StepResult:
-    return _projected_step(
-        system, variational_euler_b_step(system, x, h, config, v, warm), h, config
-    )
+    """One step of the implicit-Euler variational scheme, then ``projection_step``.
+
+    The momentum drift uses the current velocity while the Legendre pairing
+    is taken at the new position.  ``v`` and ``warm`` are as for
+    ``euler_a_with_projection``.
+    """
+    return _projected_step(system, _euler_b_core(system, x, h, None, config, v, warm), h, config)
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,10 @@ def _solve_mass(M, rhs):
 
 def _schur_complement(M, G, extra=None, *, inverse=None):
     """Solve M against G^T and the columns of ``extra`` (..., n, r), and form
-    S = G M^{-1} G^T.  Returns (M^{-1} G^T, M^{-1} extra or None, S).  A
-    separable system passes M=None and its ``mass_inverse`` as ``inverse``,
-    which is applied instead of solving with M.
+    S = G M^{-1} G^T, with G and ``extra`` broadcast to their common batch
+    shape.  Returns (M^{-1} G^T, M^{-1} extra or None, S).  A separable
+    system passes M=None and its ``mass_inverse`` as ``inverse``, which is
+    applied instead of solving with M.
 
     The one singularity rule for S, raising RankDeficient: a non-finite
     entry; for k = 1 a zero pivot (a finite non-zero 1x1 matrix has
@@ -223,7 +224,12 @@ def _schur_complement(M, G, extra=None, *, inverse=None):
     """
     GT = np.swapaxes(G, -1, -2)
     k = GT.shape[-1]
-    rhs = GT if extra is None else np.concatenate([GT, extra], axis=-1)
+    rhs = GT
+    if extra is not None:
+        if GT.shape[:-2] != extra.shape[:-2]:
+            batch = np.broadcast_shapes(GT.shape[:-2], extra.shape[:-2])
+            GT, extra = (np.broadcast_to(a, batch + a.shape[-2:]) for a in (GT, extra))
+        rhs = np.concatenate([GT, extra], axis=-1)
     if inverse is not None:
         solved = _apply_inverse(inverse, rhs)
     else:

@@ -72,16 +72,16 @@ def default_quadrature(tableau) -> StochasticQuadrature:
 
 
 def _stage_weights(tableau, quad):
-    """Check the tableau's admissibility and the quadrature's stage count;
-    returns nu (b when ``quad`` is None)."""
+    """Check the tableau's admissibility and that the quadrature's nu holds
+    s finite numbers, one per stage; returns nu (b when ``quad`` is None)."""
     check_admissibility(tableau).require()
     if quad is None:
         quad = default_quadrature(tableau)
-    if quad.nu.shape != (tableau.s,):
-        raise ConditionViolated(
-            [f"quadrature has {quad.nu.size} weights nu for {tableau.s} stages"]
-        )
-    return quad.nu
+    nu = quad.nu
+    if nu.shape != (tableau.s,) or not np.isfinite(nu).all():
+        raise ConditionViolated([f"quadrature nu = {nu.tolist()} of shape {nu.shape} is not "
+                                 f"{tableau.s} finite numbers, one per stage"])
+    return nu
 
 
 def _require_increments(name, system, dW):
@@ -108,8 +108,7 @@ def stochastic_variational_euler_step(
     """
     _require_increments("stochastic_variational_euler", system, dW)
     kick = noise_force(system, x.q, dW) if system.num_noise else None
-    intermediate = _euler_b_core(system, x, h, kick=kick, config=config, v=v, warm=warm)
-    return _projected_step(system, intermediate, h, config)
+    return _projected_step(system, _euler_b_core(system, x, h, kick, config, v, warm), h, config)
 
 
 def stochastic_vprk_step(
@@ -117,7 +116,7 @@ def stochastic_vprk_step(
 ) -> StepResult:
     """One step of the stochastic constrained partitioned Runge-Kutta scheme.
 
-    Requires an admissible tableau and one weight per stage; ``quad``
+    Requires an admissible tableau and one finite weight per stage; ``quad``
     defaults to nu = b.  The increments ``dW`` (shape (..., m), required
     when m > 0) are treated as known constants inside the implicit stage
     equations.
@@ -127,18 +126,20 @@ def stochastic_vprk_step(
     return _vprk_core(system, tableau, x, h, config, nu=nu, dW=dW, v=v)
 
 
-def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
+def euler_maruyama_reference_step(system, x: State, dW, h, config=None, v=None) -> StepResult:
     """Explicit Euler-Maruyama step of the multiplier-eliminated dynamics.
 
     Integrates the reduced momentum equation without re-enforcing the
     constraint, so trajectories drift off the constraint set at O(h); the
     scheme exists as an error oracle and negative control, not as a
-    production integrator.  Returns (q_next, v_next, p_next).  Raises
-    ValueError unless ``dW`` has last axis m on a system with m > 0 channels.
+    production integrator.  The step reads the Legendre velocity ``v`` of
+    ``x`` (solved for when omitted) and re-derives p = dL_dv(q, v) from it.
+    Returns a StepResult without stages or multipliers.  Raises ValueError
+    unless ``dW`` has last axis m on a system with m > 0 channels.
     """
     _require_increments("euler_maruyama_ref", system, dW)
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
+    q = x.q
+    v = legendre_velocity(system, q, x.p, config) if v is None else np.asarray(v, dtype=float)
     p = system.dL_dv(q, v)
     dyn = reduced_drift_diffusion(system, q, v)
     p_next = p + h * dyn.drift_p
@@ -147,7 +148,8 @@ def euler_maruyama_reference_step(system, q, v, dW, h, config=None):
         p_next = p_next + np.einsum("...nm,...m->...n", dyn.diffusion_p, dW)
     q_next = q + h * v
     v_next = legendre_velocity(system, q_next, p_next, config, v0=v)
-    return q_next, v_next, p_next
+    return StepResult(State(q=q_next, p=p_next), stages=None, multipliers=[], newton_iters=0,
+                      velocity=v_next)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +164,6 @@ def _stochastic_vprk_step(system, cfg, rk, x, v, dW, h, warm):
     # stochastic_vprk_step with the tableau and nu checked once, at build.
     _require_increments("stochastic_vprk", system, dW)
     return _vprk_core(system, rk[0], x, h, cfg, nu=rk[1], dW=dW, v=v)
-
-
-def _em_step(system, cfg, rk, x, v, dW, h, warm):
-    if v is None:
-        v = legendre_velocity(system, x.q, x.p, cfg)
-    q_next, v_next, p_next = euler_maruyama_reference_step(system, x.q, v, dW, h, cfg)
-    return StepResult(
-        state=State(q=q_next, p=p_next),
-        stages=None,
-        multipliers=[],
-        newton_iters=0,
-        velocity=v_next,
-    )
 
 
 # name -> (uses_noise, the keys of a dict spec besides "method" that the
@@ -193,7 +182,8 @@ _METHODS = {
         euler_b_with_projection(system, x, h, cfg, v=v, warm=warm)),
     "stochastic_variational_euler": (True, (), lambda system, cfg, rk, x, v, dW, h, warm:
         stochastic_variational_euler_step(system, x, dW, h, cfg, v=v, warm=warm)),
-    "euler_maruyama_ref": (True, (), _em_step),
+    "euler_maruyama_ref": (True, (), lambda system, cfg, rk, x, v, dW, h, warm:
+        euler_maruyama_reference_step(system, x, dW, h, cfg, v=v)),
 }
 
 
@@ -215,10 +205,9 @@ def make_stepper(system, method, config=None) -> Stepper:
     ``tableau`` is read by the two vprk methods and ``quad`` by
     stochastic_vprk only.  Raises NameNotFound for an unknown name,
     ConfigInvalid for a spec without a method name or with a key the method
-    does not read, and ConditionViolated
-    for an inadmissible tableau, a ``nu`` of the wrong length, or a
-    ``quad.kappa`` other than s zeros, one per stage (zeros are accepted so
-    that old manifests replay).
+    does not read, and ConditionViolated for an inadmissible tableau, a
+    ``nu`` other than s finite numbers, or a ``quad.kappa`` other than s
+    zeros, one per stage (zeros are accepted so that old manifests replay).
     A step of a method that reads noise, on a system with m > 0 noise
     channels, raises ValueError unless ``dW`` has last axis m.
     """
@@ -246,7 +235,11 @@ def make_stepper(system, method, config=None) -> Stepper:
                     [f"quadrature kappa = {quad['kappa']!r} is not realized "
                      f"(only {tableau.s} zeros, one per stage, are)"]
                 )
-            quad = StochasticQuadrature(nu=quad["nu"])
+            try:
+                quad = StochasticQuadrature(nu=quad["nu"])
+            except (TypeError, ValueError):  # ragged or not numbers
+                raise ConditionViolated(
+                    [f"quadrature nu = {quad['nu']!r} is not {tableau.s} numbers"]) from None
         rk = (tableau, _stage_weights(tableau, quad))
 
     def step(state, v, dW, h, warm):
@@ -263,9 +256,9 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     arguments are checked, and the initial Legendre velocity formed, at the
     call, before any step: ``make_stepper``'s errors for the method, and
     ValueError when ``num_steps`` exceeds the increments' steps.  The
-    generator yields (StepResult, velocity) after
-    each step.  Errors raised by a step are re-raised with the step index,
-    step count and step size prepended.
+    generator yields each step's StepResult, whose ``velocity`` is the
+    Legendre velocity of its state.  Errors raised by a step are re-raised
+    with the step index, step count and step size prepended.
     """
     stepper = make_stepper(system, method, config)
     if increments is None:
@@ -296,7 +289,7 @@ def _steps(stepper, state, v, increments, h, num_steps):
             err.args = (f"step {step_index} of {num_steps} at h = {h}: {detail}",)
             raise
         state, v, warm = result.state, result.velocity, result.warm
-        yield result, v
+        yield result
 
 
 @dataclass
@@ -363,8 +356,8 @@ def simulate_path(
     v[0] = legendre_velocity(system, q[0], p[0], config)
     iters, multipliers = [], []
     steps = integrate(system, method, x0, increments, h, num_steps, config)
-    for i, (result, velocity) in enumerate(steps, 1):
-        q[i], p[i], v[i] = result.state.q, result.state.p, velocity
+    for i, result in enumerate(steps, 1):
+        q[i], p[i], v[i] = result.state.q, result.state.p, result.velocity
         iters.append(result.newton_iters)
         if result.multipliers:
             multipliers.append(np.concatenate([np.ravel(m) for m in result.multipliers]))

@@ -308,3 +308,8 @@ def test_em_constraint_drift_exceeds_variational(pendulum_quiet):
     em = sv.simulate_path(pendulum_quiet, "euler_maruyama_ref", x0, h=2.0**-7, num_steps=2**7)
     ra = sv.simulate_path(pendulum_quiet, "rattle", x0, h=2.0**-7, num_steps=2**7)
     assert em.constraint.max() > 100 * ra.constraint.max()
+
+
+def test_convergence_report_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        sv.ConvergenceReport.from_errors([0.25, 0.125, 0.0625], [1e-2, 5e-3], num_paths=4)

@@ -462,6 +462,7 @@ REJECTED = {
     "h-tiny-step-count-too-large": (dict(SIMULATE, step={"h": 1e-12}), 2),
     "h-ladder-to-simulate": (dict(SIMULATE, step={"h_ladder": [0.25, 0.125, 0.0625]}), 2),
     "h-to-strong-order": ({"step": {"h": 0.0625}}, 2),
+    "h-ladder-not-a-list": ({"step": {"h_ladder": 0.25, "ref_refine": 8}}, 2),
     "horizon-reversed": (dict(SIMULATE, horizon={"start": 1.0, "end": 0.0}), 2),
     "horizon-incomplete": (dict(SIMULATE, horizon={"start": 0.0}), 2),
     "model-not-an-object": ({"model": "spherical_pendulum"}, 2),
@@ -522,4 +523,34 @@ def test_study_newton_failure_exits_1_naming_the_path(tmp_path, capsys):
     err = capsys.readouterr().err
     # The study's one block holds all 16 paths; the index is the path's.
     assert err.startswith("error: paths 0 to 15: step 0 of ") and "at batch index" in err, err
+    assert not out.exists()
+
+
+def test_output_dir_that_is_not_a_string_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, study="simulate", integrator={"method": "rattle"},
+                          step={"h": 0.25}, noise=None, output_dir=5)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "output_dir must be a path string" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "nu, named",
+    [
+        ([[0.5], [0.5]], "of shape (2, 1)"),
+        (None, "nan of shape ()"),
+        ([0.5, float("nan")], "[0.5, nan] of shape (2,)"),
+        ("half", "'half' is not 2 numbers"),
+    ],
+    ids=["2-d", "null", "nan-entry", "not-numbers"],
+)
+def test_quadrature_nu_that_is_not_s_finite_numbers_exits_1(tmp_path, capsys, nu, named):
+    config = write_config(
+        tmp_path, integrator={"method": "stochastic_vprk", "quad": {"nu": nu}}
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not admissible: quadrature nu = " in err and named in err, err
     assert not out.exists()

@@ -163,3 +163,25 @@ def test_variable_mass_system_derivatives_consistent():
     rng = np.random.default_rng(41)
     samples = [(s.q, rng.standard_normal(3)) for s in random_states(system, 20, rng)]
     assert sv.validate_system(system, samples, tol=1e-5).passed
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"dim_g": 0}, "0 < dim_g < dim_q"),
+        ({"dim_g": 3}, "0 < dim_g < dim_q"),
+        ({"num_noise": 2}, "num_noise entries"),
+    ],
+    ids=["dim_g-zero", "dim_g-equal-to-dim_q", "gamma-count"],
+)
+def test_mechanical_system_rejects_bad_dimensions(pendulum, changes, match):
+    with pytest.raises(ValueError, match=match):
+        replace(pendulum, **changes)
+
+
+def test_noise_force_without_channels_is_zero(pendulum_quiet):
+    from svpark.model import noise_force
+
+    q = np.ones((4, 3))
+    force = noise_force(pendulum_quiet, q, None)
+    assert force.shape == (4, 3) and not force.any()

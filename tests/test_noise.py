@@ -108,3 +108,9 @@ def test_paths_are_per_path_streams():
     big = sv.generate(8, 10, 2, 16).increments
     small = sv.generate(8, 4, 2, 16).increments
     assert np.array_equal(big[:4], small)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 11)])
+def test_block_out_of_range_rejected(start, stop):
+    with pytest.raises(ValueError, match="path block out of range"):
+        sv.generate(31, 10, 3, 8).block(start, stop)

@@ -306,3 +306,60 @@ def test_apply_with_several_columns_is_matmul():
     rng = np.random.default_rng(43)
     mat, vec = rng.standard_normal((4, 5, 3, 2)), rng.standard_normal((4, 5, 2))
     assert np.array_equal(_apply(mat, vec), (mat @ vec[..., None])[..., 0])
+
+
+def _dense_saddle_solve(M, G, rp, rc):
+    """Reference: one dense solve of [[M, G^T], [G, 0]] per batch element."""
+    n, k = G.shape[-1], G.shape[-2]
+    batch = np.broadcast_shapes(M.shape[:-2], G.shape[:-2], rp.shape[:-1], rc.shape[:-1])
+    M, G = np.broadcast_to(M, batch + (n, n)), np.broadcast_to(G, batch + (k, n))
+    K = np.zeros(batch + (n + k, n + k))
+    K[..., :n, :n], K[..., :n, n:], K[..., n:, :n] = M, np.swapaxes(G, -1, -2), G
+    rhs = np.concatenate(
+        [np.broadcast_to(rp, batch + (n,)), np.broadcast_to(rc, batch + (k,))], axis=-1
+    )
+    u = np.linalg.solve(K, rhs[..., None])[..., 0]
+    return u[..., :n], u[..., n:]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "M_batch, G_batch, rhs_batch",
+    [((), (), (2,)), ((2,), (), (2,)), ((), (2,), ())],
+    ids=["shared-G-unbatched-M", "shared-G-batched-M", "batched-G-shared-rhs"],
+)
+def test_schur_multiplier_solve_broadcasts_mixed_batch_shapes(M_batch, G_batch, rhs_batch, k):
+    # A shared G against batched right-hand sides (with M unbatched or
+    # batched), and a batched G against shared right-hand sides.
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal(M_batch + (3, 3))
+    M = A @ np.swapaxes(A, -1, -2) + 3.0 * np.eye(3)
+    G = rng.standard_normal(G_batch + (k, 3))
+    rp = rng.standard_normal(rhs_batch + (3,))
+    rc = rng.standard_normal(rhs_batch + (k,))
+    x, lam = sv.schur_multiplier_solve(M, G, rp, rc)
+    x_ref, lam_ref = _dense_saddle_solve(M, G, rp, rc)
+    assert x.shape == (2, 3) and lam.shape == (2, k)
+    assert np.allclose(x, x_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x0, F, match",
+    [
+        (np.float64(1.0), lambda x: x, "at least one dimension"),
+        (np.zeros(2), lambda x: x[..., :1], r"F returned shape \(1,\), expected \(2,\)"),
+    ],
+    ids=["0-d-x0", "F-wrong-shape"],
+)
+def test_newton_rejects_malformed_problems(x0, F, match):
+    with pytest.raises(ValueError, match=match):
+        sv.newton_solve(F, x0)
+
+
+@pytest.mark.parametrize("rhs_batch", [(), (4,)], ids=["unbatched", "batched-rhs"])
+def test_schur_singular_mass_raises_rank_deficient(rhs_batch):
+    M = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(RankDeficient, match="primal block not invertible"):
+        sv.schur_multiplier_solve(M, np.eye(3)[:1], np.zeros(rhs_batch + (3,)),
+                                  np.zeros(rhs_batch + (1,)))

@@ -88,10 +88,11 @@ def test_em_reference_drifts_off_manifold(pendulum):
 def test_em_with_zero_noise_is_deterministic_reduced_euler(pendulum_quiet):
     q = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 0.5, 0.0])
-    q1, v1, p1 = sv.euler_maruyama_reference_step(pendulum_quiet, q, v, None, 0.01)
+    x = sv.State(q=q, p=pendulum_quiet.dL_dv(q, v))
+    step = sv.euler_maruyama_reference_step(pendulum_quiet, x, None, 0.01, v=v)
     dyn = sv.reduced_drift_diffusion(pendulum_quiet, q, v)
-    assert np.allclose(q1, q + 0.01 * v, atol=1e-15)
-    assert np.allclose(p1, pendulum_quiet.dL_dv(q, v) + 0.01 * dyn.drift_p, atol=1e-15)
+    assert np.allclose(step.state.q, q + 0.01 * v, atol=1e-15)
+    assert np.allclose(step.state.p, x.p + 0.01 * dyn.drift_p, atol=1e-15)
 
 
 def test_one_step_agreement_with_reference_scheme(pendulum):
@@ -110,9 +111,9 @@ def test_one_step_agreement_with_reference_scheme(pendulum):
         factor = int(round(h * 2**12))
         dW = coarsen_array(base, factor)[:, :, 0]
         r = sv.stochastic_variational_euler_step(pendulum, sv.State(q=qb, p=pb), dW, h)
-        qe, _, pe = sv.euler_maruyama_reference_step(pendulum, qb, vb, dW, h)
-        gap_p.append(np.sqrt(np.mean(np.sum((r.state.p - pe) ** 2, axis=-1))))
-        gap_q.append(np.sqrt(np.mean(np.sum((r.state.q - qe) ** 2, axis=-1))))
+        em = sv.euler_maruyama_reference_step(pendulum, sv.State(q=qb, p=pb), dW, h, v=vb).state
+        gap_p.append(np.sqrt(np.mean(np.sum((r.state.p - em.p) ** 2, axis=-1))))
+        gap_q.append(np.sqrt(np.mean(np.sum((r.state.q - em.q) ** 2, axis=-1))))
     slope_p, _ = sv.fit_loglog_slope(hs, gap_p)
     slope_q, _ = sv.fit_loglog_slope(hs, gap_q)
     assert 1.8 <= slope_p <= 2.2
@@ -202,8 +203,8 @@ def test_integrate_broadcasts_and_matches_single_path_runs(pendulum):
                          2**5 // factor)
         )
         assert len(steps) == 2**5 // factor
-        result, v = steps[-1]
-        assert result.state.q.shape == (3, 3) and v.shape == (3, 3)
+        result = steps[-1]
+        assert result.state.q.shape == (3, 3) and result.velocity.shape == (3, 3)
         traj = sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, 2, h=h)
         assert np.array_equal(traj.q[-1], result.state.q[2])
         assert np.array_equal(traj.p[-1], result.state.p[2])
@@ -232,7 +233,7 @@ def test_stochastic_vprk_strong_order_against_reference_scheme(pendulum):
     hs = [T * 2.0**-3, T * 2.0**-4, T * 2.0**-5]
 
     def endpoints(method, increments, h):
-        *_, (result, _) = sv.integrate(
+        *_, result = sv.integrate(
             pendulum, method, x0, increments, h, increments.shape[-1]
         )
         return result.state.q, result.state.p
@@ -312,7 +313,7 @@ def test_public_noise_steps_follow_the_stepper_noise_rule(pendulum, pendulum_qui
         "stochastic_vprk":
             lambda system, dW: sv.stochastic_vprk_step(system, tab, None, x, dW, 0.01),
         "euler_maruyama_ref":
-            lambda system, dW: sv.euler_maruyama_reference_step(system, x.q, v, dW, 0.01),
+            lambda system, dW: sv.euler_maruyama_reference_step(system, x, dW, 0.01, v=v),
     }
     for name, step in steps.items():
         for dW, got in [(None, "got none"), (np.zeros(2), r"got shape \(2,\)")]:
@@ -367,7 +368,7 @@ def test_only_the_separable_multiplier_newton_carries_a_warm_start(pendulum, sep
     v = sv.legendre_velocity(system, x.q, x.p)
     warm = None
     steps = sv.integrate(system, method, x, increments if stepper.uses_noise else None, 1 / 16, 16)
-    for i, (result, _) in enumerate(steps):
+    for i, result in enumerate(steps):
         fresh = stepper.step(x, v, increments[..., i], 1 / 16, warm)
         for a, b in [(fresh.state.q, result.state.q), (fresh.state.p, result.state.p),
                      (fresh.velocity, result.velocity)]:
@@ -377,3 +378,32 @@ def test_only_the_separable_multiplier_newton_carries_a_warm_start(pendulum, sep
         else:
             assert np.array_equal(result.warm, result.multipliers[0])
         x, v, warm = result.state, result.velocity, result.warm
+
+
+@pytest.mark.parametrize(
+    "nu, named",
+    [
+        ([[0.5], [0.5]], r"of shape \(2, 1\)"),
+        (None, r"nan of shape \(\)"),
+        ([0.5, float("nan")], r"\[0.5, nan\] of shape \(2,\)"),
+        ("half", "'half' is not 2 numbers"),
+        ([[0.5], [0.5, 0.5]], "is not 2 numbers"),
+    ],
+    ids=["2-d", "null", "nan-entry", "not-numbers", "ragged"],
+)
+def test_nu_that_is_not_s_finite_numbers_is_rejected(pendulum, nu, named):
+    with pytest.raises(ConditionViolated, match=f"not admissible: quadrature nu = .*{named}"):
+        sv.make_stepper(pendulum, {"method": "stochastic_vprk", "quad": {"nu": nu}})
+
+
+def test_stochastic_vprk_step_rejects_a_non_finite_nu(pendulum):
+    tab = sv.builtin_tableaux()["rattle_trapezoidal"]
+    quad = sv.StochasticQuadrature(nu=[0.5, np.inf])
+    with pytest.raises(ConditionViolated, match="inf"):
+        sv.stochastic_vprk_step(pendulum, tab, quad, X0, np.zeros(3), 0.01)
+
+
+def test_simulate_path_without_paths_needs_h_and_num_steps(pendulum_quiet):
+    for kwargs in ({}, {"h": 0.25}, {"num_steps": 4}):
+        with pytest.raises(ValueError, match="h and num_steps are required without paths"):
+            sv.simulate_path(pendulum_quiet, "rattle", X0, **kwargs)

@@ -82,3 +82,28 @@ def test_conjugate_weights_structure():
     assert np.allclose(ahat[:, -1], 0.0, atol=1e-15)
     assert np.allclose((t.a @ ahat)[0], 0.0, atol=1e-15)
     assert abs((t.a @ ahat)[1, 0] - 0.5) < 1e-15
+
+
+def test_non_square_a_rejected():
+    with pytest.raises(ValueError, match=r"a must be square, got shape \(2, 3\)"):
+        sv.ButcherTableau(a=[[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]], b=[0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "a, b, reason",
+    [
+        ([[0.0, 0.0], [0.5, 0.5]], [0.25, 0.75], "a_s1 = 0.5 differs from b_1 = 0.25"),
+        # a_s = b with b_1 + b_2 = 0 makes the 1 x 1 coupling b_1 (b_1 + b_2) zero.
+        ([[0.0, 0.0], [1.0, -1.0]], [1.0, -1.0], "stage coupling matrix is numerically singular"),
+    ],
+    ids=["last-row-not-b", "singular-stage-coupling"],
+)
+def test_admissibility_rejects_last_row_and_singular_coupling(a, b, reason):
+    report = sv.check_admissibility(sv.ButcherTableau(a=a, b=b))
+    assert not report.satisfied
+    assert any(reason in r for r in report.reasons), report.reasons
+
+
+def test_tableau_from_config_passes_a_tableau_through():
+    tableau = sv.builtin_tableaux()["lobatto_iiia_3"]
+    assert sv.tableau_from_config(tableau) is tableau
