@@ -78,6 +78,14 @@ def _gt(mat):
     return np.swapaxes(mat, -1, -2)
 
 
+def _stage_sum(weights, X):
+    """weights @ X for stage weights of shape (s, r) and stage values X of
+    shape (..., r, n).  With one stage (r = 1) it is the product
+    weights * X, the one product matmul forms, without a BLAS call per
+    batch element."""
+    return weights * X if weights.shape[-1] == 1 else weights @ X
+
+
 # ---------------------------------------------------------------------------
 # Hidden-constraint projection
 
@@ -372,41 +380,57 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v):
     nu_j * (1 - a_ji / b_i) enter the internal momenta and nu-weighted
     increments enter the final momentum.  Newton starts every stage
     velocity at the Legendre velocity ``v`` of ``x`` and the multipliers at 0.
+
+    The residual evaluates only the stage terms that vary and carry weight.
+    a_sj = b_j makes the last column of both stage weight matrices exactly
+    0, so the stage equations read the forces and noise of stages 1..s-1
+    only.  With s = 2 that is stage 1 alone, which sits at q (a_1j = 0): its
+    constraint gradients G(q)^T and the whole noise term are formed once per
+    step, and a residual call evaluates no constraint or noise gradient.
+    Only exact 0 * x products are dropped, so the Newton iterates are those
+    of the full-stage residual, bit for bit up to the sign of zero.  The
+    end-of-step update reads the forces and noise of every stage.
     """
     q, p = x.q, x.p
     n = system.dim_q
     k = system.dim_g
     s = tableau.s
     a, b = tableau.a, tableau.b
-    ahat = tableau.conjugate_weights()
+    # The weights of stages 1..s-1 in the stage equations.
+    ahat = tableau.conjugate_weights()[:, :-1]
     with_noise = dW is not None and system.num_noise > 0
     if with_noise:
         dW = np.asarray(dW, dtype=float)
-        stage_noise_w = tableau.noise_stage_weights() * np.asarray(nu)[None, :]
+        noise_w = (tableau.noise_stage_weights() * np.asarray(nu)[None, :])[:, :-1]
 
     if v is None:
         v = legendre_velocity(system, q, p, config)
 
     def stage_sigma(Q):
-        # dW gains a stage axis to align with Q's (..., s, n).
+        # dW gains a stage axis to align with Q's (..., stages, n).
         return noise_force(system, Q, dW[..., None, :])
+
+    if s == 2:
+        GT1 = _gt(system.dg_dq(q))[..., None, :, :]
+        if with_noise:
+            noise1 = _stage_sum(noise_w, stage_sigma(q[..., None, :]))
 
     # The batch shape comes from u, not from q: the finite-difference
     # Jacobian stacks its perturbed columns on an added leading axis.
-    def assemble(u):
+    def unpack(u):
         lead = u.shape[:-1]
         V = u[..., : s * n].reshape(lead + (s, n))
         lam = u[..., s * n :].reshape(lead + (s - 1, k))
-        lam_full = np.concatenate([lam, np.zeros(lead + (1, k))], axis=-2)
-        Q = q[..., None, :] + h * (a @ V)
-        forces = system.dL_dq(Q, V) + _apply(_gt(system.dg_dq(Q)), lam_full)
-        return V, lam, Q, forces
+        return V, lam, q[..., None, :] + h * (a @ V)
 
     def residual(u):
-        V, _, Q, forces = assemble(u)
-        r1 = system.dL_dv(Q, V) - p[..., None, :] - h * (ahat @ forces)
+        V, lam, Q = unpack(u)
+        Qa = Q[..., :-1, :]
+        GT = GT1 if s == 2 else _gt(system.dg_dq(Qa))
+        forces = system.dL_dq(Qa, V[..., :-1, :]) + _apply(GT, lam)
+        r1 = system.dL_dv(Q, V) - p[..., None, :] - h * _stage_sum(ahat, forces)
         if with_noise:
-            r1 = r1 - stage_noise_w @ stage_sigma(Q)
+            r1 = r1 - (noise1 if s == 2 else _stage_sum(noise_w, stage_sigma(Qa)))
         r2 = system.constraint(Q[..., 1:, :])
         lead = u.shape[:-1]
         return np.concatenate(
@@ -416,7 +440,9 @@ def _vprk_core(system, tableau, x, h, config, nu, dW, v):
 
     start = np.concatenate([np.tile(v, s), np.zeros(q.shape[:-1] + ((s - 1) * k,))], axis=-1)
     sol = newton_solve(residual, start, config, stacked_fd=True)
-    V, lam, Q, forces = assemble(sol.x)
+    V, lam, Q = unpack(sol.x)
+    lam_full = np.concatenate([lam, np.zeros(lam.shape[:-2] + (1, k))], axis=-2)
+    forces = system.dL_dq(Q, V) + _apply(_gt(system.dg_dq(Q)), lam_full)
     q_next = q + h * np.einsum("j,...jn->...n", b, V)
     p_hat = p + h * np.einsum("j,...jn->...n", b, forces)
     if with_noise:

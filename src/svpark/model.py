@@ -134,7 +134,10 @@ def spherical_pendulum() -> MechanicalSystem:
         return 0.5 * np.sum(v * v, axis=-1) - q @ e3
 
     def dL_dq(q, v):
-        return np.broadcast_to(-e3, q.shape).copy()
+        # -e3 in every row, its zeros -0.0 as in -e3, in a fresh array.
+        out = np.full(q.shape, -0.0)
+        out[..., 2] = -1.0
+        return out
 
     def dL_dv(q, v):
         return np.array(v, dtype=float, copy=True)

@@ -55,13 +55,20 @@ class StochasticQuadrature:
     The shipped realization draws the stage noise from the step's Brownian
     increment, which yields the first-order schemes; the higher-order
     realizations require auxiliary random variables that this package does
-    not generate.  ``nu`` should sum to one for consistency.
+    not generate.  ``nu`` should sum to one for consistency.  Raises
+    ConditionViolated unless ``nu`` is a non-empty 1-D array of finite
+    numbers (and ValueError or TypeError when it does not convert to
+    floats); that it has one weight per stage is checked against the
+    tableau it is used with.
     """
 
     nu: np.ndarray
 
     def __post_init__(self):
         nu = np.array(self.nu, dtype=float)
+        if nu.ndim != 1 or nu.size == 0 or not np.isfinite(nu).all():
+            raise ConditionViolated([f"quadrature nu = {nu.tolist()} of shape {nu.shape} is not "
+                                     "a non-empty 1-D array of finite numbers"])
         nu.setflags(write=False)
         object.__setattr__(self, "nu", nu)
 
@@ -72,13 +79,14 @@ def default_quadrature(tableau) -> StochasticQuadrature:
 
 
 def _stage_weights(tableau, quad):
-    """Check the tableau's admissibility and that the quadrature's nu holds
-    s finite numbers, one per stage; returns nu (b when ``quad`` is None)."""
+    """Check the tableau's admissibility and that the quadrature's nu (finite
+    numbers, as its constructor checks) has one weight per stage; returns
+    nu (b when ``quad`` is None)."""
     check_admissibility(tableau).require()
     if quad is None:
         quad = default_quadrature(tableau)
     nu = quad.nu
-    if nu.shape != (tableau.s,) or not np.isfinite(nu).all():
+    if nu.shape != (tableau.s,):
         raise ConditionViolated([f"quadrature nu = {nu.tolist()} of shape {nu.shape} is not "
                                  f"{tableau.s} finite numbers, one per stage"])
     return nu
@@ -260,6 +268,13 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     Legendre velocity of its state.  Errors raised by a step are re-raised
     with the step index, step count and step size prepended.
     """
+    stepper, state, v = _start(system, method, x0, increments, num_steps, config)
+    return _steps(stepper, state, v, increments, h, num_steps)
+
+
+def _start(system, method, x0, increments, num_steps, config):
+    """The call-time part of ``integrate``: its checks, the stepper, the
+    initial state broadcast to the batch shape and its Legendre velocity."""
     stepper = make_stepper(system, method, config)
     if increments is None:
         batch = np.shape(x0.q)[:-1]
@@ -274,7 +289,7 @@ def integrate(system, method, x0: State, increments, h, num_steps, config=None):
         p=np.array(np.broadcast_to(x0.p, shape), dtype=float),
     )
     v = legendre_velocity(system, state.q, state.p, config)
-    return _steps(stepper, state, v, increments, h, num_steps)
+    return stepper, state, v
 
 
 def _steps(stepper, state, v, increments, h, num_steps):
@@ -349,13 +364,13 @@ def simulate_path(
     elif num_steps is None or h is None:
         raise ValueError("h and num_steps are required without paths")
 
-    q = np.empty((num_steps + 1,) + np.shape(x0.q))
+    stepper, state, v0 = _start(system, method, x0, increments, num_steps, config)
+    q = np.empty((num_steps + 1,) + state.q.shape)
     p = np.empty_like(q)
     v = np.empty_like(q)
-    q[0], p[0] = x0.q, x0.p
-    v[0] = legendre_velocity(system, q[0], p[0], config)
+    q[0], p[0], v[0] = state.q, state.p, v0
     iters, multipliers = [], []
-    steps = integrate(system, method, x0, increments, h, num_steps, config)
+    steps = _steps(stepper, state, v0, increments, h, num_steps)
     for i, result in enumerate(steps, 1):
         q[i], p[i], v[i] = result.state.q, result.state.p, result.velocity
         iters.append(result.newton_iters)

@@ -31,7 +31,13 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b) with node vector c recomputed as row sums."""
+    """Runge-Kutta coefficients (a, b) with node vector c recomputed as row sums.
+
+    Entries of the first row of a within 1e-14 of 0, and of the last row
+    within 1e-14 of b, are set to 0 and b exactly (the tolerance of
+    ``check_admissibility``), so an admissible tableau satisfies
+    a_1i = 0 and a_si = b_i bit for bit.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -43,8 +49,16 @@ class ButcherTableau:
         b = np.array(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"a must be square, got shape {a.shape}")
+        if not a.size:
+            raise ValueError("a must have at least one stage")
         if b.shape != (a.shape[0],):
             raise ValueError(f"b must have length {a.shape[0]}, got {b.shape}")
+        # Snapped to a_1i = 0 and a_si = b_i within the admissibility tolerance,
+        # so the weights these conditions zero (the last columns of
+        # conjugate_weights and noise_stage_weights) are exact zeros.
+        a[0, np.abs(a[0]) <= _COEFF_TOL] = 0.0
+        last = np.abs(a[-1] - b) <= _COEFF_TOL
+        a[-1, last] = b[last]
         c = a.sum(axis=1)
         if self.c is not None:
             given = np.asarray(self.c, dtype=float)

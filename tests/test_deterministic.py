@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import svpark as sv
 from svpark import deterministic
+from svpark.model import noise_force
 from svpark.exceptions import ConditionViolated
 
 from conftest import (
@@ -285,3 +288,110 @@ def test_euler_projected_global_order_one(pendulum_quiet, method):
     errors = deterministic_global_errors(pendulum_quiet, method, x0, hs)
     slope, _ = sv.fit_loglog_slope(hs, errors)
     assert 0.8 <= slope <= 1.2
+
+
+# ---------------------------------------------------------------------------
+# The vprk residual against its full-stage form
+
+
+def full_stage_residual(system, tableau, q, p, h, nu, dW):
+    """The vprk stage equations with forces and noise evaluated at all s
+    stages (the last one weighted by exact zeros): the oracle for the
+    residual that ``_vprk_core`` hands to Newton."""
+    n, k, s = system.dim_q, system.dim_g, tableau.s
+
+    def residual(u):
+        lead = u.shape[:-1]
+        V = u[..., : s * n].reshape(lead + (s, n))
+        lam = u[..., s * n :].reshape(lead + (s - 1, k))
+        lam_full = np.concatenate([lam, np.zeros(lead + (1, k))], axis=-2)
+        Q = q[..., None, :] + h * (tableau.a @ V)
+        GT = np.swapaxes(system.dg_dq(Q), -1, -2)
+        forces = system.dL_dq(Q, V) + (GT @ lam_full[..., None])[..., 0]
+        r1 = system.dL_dv(Q, V) - p[..., None, :] - h * (tableau.conjugate_weights() @ forces)
+        if dW is not None:
+            weights = tableau.noise_stage_weights() * nu[None, :]
+            r1 = r1 - weights @ noise_force(system, Q, dW[..., None, :])
+        r2 = system.constraint(Q[..., 1:, :])
+        return np.concatenate(
+            [r1.reshape(lead + (s * n,)), r2.reshape(lead + ((s - 1) * k,))], axis=-1
+        )
+
+    return residual
+
+
+def captured_residual(monkeypatch, step):
+    """Run ``step`` and return the residual ``_vprk_core`` passed to Newton."""
+    captured = []
+
+    def recording(F, x0, *args, **kwargs):
+        captured.append(F)
+        return sv.newton_solve(F, x0, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(deterministic, "newton_solve", recording)
+        step()
+    return captured[0]
+
+
+def vprk_models():
+    from test_separable import circle_system
+
+    pendulum = sv.spherical_pendulum()
+    return {
+        "pendulum": pendulum,
+        "pendulum-without-mass": replace(pendulum, mass=None),
+        "circle": circle_system(),
+    }
+
+
+@pytest.mark.parametrize("model", ["pendulum", "pendulum-without-mass", "circle"])
+@pytest.mark.parametrize("name", ["rattle_trapezoidal", "lobatto_iiia_3"])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+def test_vprk_residual_is_bitwise_the_full_stage_residual(monkeypatch, model, name, noisy):
+    system = vprk_models()[model]
+    tableau = sv.builtin_tableaux()[name]
+    rng = np.random.default_rng(sum(map(ord, model + name)) + noisy)
+    batch, h = 5, 0.05
+    states = random_states(system, batch, rng)
+    q = np.stack([state.q for state in states])
+    p = np.stack([state.p for state in states])
+    dW = np.sqrt(h) * rng.standard_normal((batch, system.num_noise)) if noisy else None
+    nu = tableau.b
+    if noisy:
+        step = lambda: sv.stochastic_vprk_step(system, tableau, None, sv.State(q, p), dW, h)
+    else:
+        step = lambda: sv.vprk_step(system, tableau, sv.State(q, p), h)
+    residual = captured_residual(monkeypatch, step)
+    oracle = full_stage_residual(system, tableau, q, p, h, nu, dW)
+    d = tableau.s * system.dim_q + (tableau.s - 1) * system.dim_g
+    for lead in [(batch,), (d, batch)]:  # one Newton iterate; the stacked FD columns
+        for _ in range(5):
+            u = rng.standard_normal(lead + (d,))
+            assert np.array_equal(residual(u), oracle(u))
+
+
+def test_trapezoidal_step_evaluates_noise_gradients_a_fixed_number_of_times(pendulum):
+    # Stage 1's noise is formed once per step and the stage record once
+    # more: two evaluations of each gradient per step, however many Newton
+    # iterations (and residual calls) the step takes.
+    calls = [0]
+
+    def counting(dgamma):
+        def wrapped(q):
+            calls[0] += 1
+            return dgamma(q)
+
+        return wrapped
+
+    system = replace(pendulum, dgamma_dq=tuple(counting(f) for f in pendulum.dgamma_dq))
+    tableau = sv.builtin_tableaux()["rattle_trapezoidal"]
+    x = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.3, -0.1]))
+    iterations = set()
+    for h, tol in [(2.0**-8, 1e-6), (2.0**-2, 1e-13), (0.5, 1e-13)]:
+        calls[0] = 0
+        config = sv.NewtonConfig(tol_residual=tol)
+        result = sv.stochastic_vprk_step(system, tableau, None, x, np.full(3, 0.1), h, config)
+        assert calls[0] == 2 * system.num_noise
+        iterations.add(result.newton_iters)
+    assert len(iterations) == 3

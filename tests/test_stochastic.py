@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import svpark as sv
+from svpark import stochastic
 from svpark.exceptions import (
     ConditionViolated,
     ConfigInvalid,
@@ -396,11 +397,34 @@ def test_nu_that_is_not_s_finite_numbers_is_rejected(pendulum, nu, named):
         sv.make_stepper(pendulum, {"method": "stochastic_vprk", "quad": {"nu": nu}})
 
 
-def test_stochastic_vprk_step_rejects_a_non_finite_nu(pendulum):
-    tab = sv.builtin_tableaux()["rattle_trapezoidal"]
-    quad = sv.StochasticQuadrature(nu=[0.5, np.inf])
-    with pytest.raises(ConditionViolated, match="inf"):
-        sv.stochastic_vprk_step(pendulum, tab, quad, X0, np.zeros(3), 0.01)
+@pytest.mark.parametrize(
+    "nu, named",
+    [
+        ([0.5, np.inf], r"\[0.5, inf\] of shape \(2,\)"),
+        ([0.5, np.nan], r"\[0.5, nan\] of shape \(2,\)"),
+        ([[0.5], [0.5]], r"\[\[0.5\], \[0.5\]\] of shape \(2, 1\)"),
+        (0.5, r"0.5 of shape \(\)"),
+        ([], r"\[\] of shape \(0,\)"),
+    ],
+    ids=["inf-entry", "nan-entry", "2-d", "scalar", "empty"],
+)
+def test_quadrature_rejects_a_nu_that_is_not_finite_numbers_where_it_is_made(nu, named):
+    with pytest.raises(ConditionViolated, match=f"quadrature nu = {named} is not a non-empty 1-D"):
+        sv.StochasticQuadrature(nu=nu)
+
+
+def test_simulate_path_forms_the_initial_velocity_once(monkeypatch, pendulum):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return sv.legendre_velocity(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "legendre_velocity", recording)
+    paths = sv.generate(5, 1, pendulum.num_noise, 8)
+    traj = sv.simulate_path(pendulum, "rattle", X0, paths)
+    assert calls == [(3,)]
+    assert np.array_equal(traj.v[0], sv.legendre_velocity(pendulum, X0.q, X0.p))
 
 
 def test_simulate_path_without_paths_needs_h_and_num_steps(pendulum_quiet):

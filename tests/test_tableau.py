@@ -4,6 +4,8 @@ import pytest
 import svpark as sv
 from svpark.exceptions import NameNotFound
 
+X0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.3, 0.0]))
+
 
 def test_c_recomputed_from_row_sums():
     t = sv.ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5])
@@ -87,6 +89,8 @@ def test_conjugate_weights_structure():
 def test_non_square_a_rejected():
     with pytest.raises(ValueError, match=r"a must be square, got shape \(2, 3\)"):
         sv.ButcherTableau(a=[[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]], b=[0.5, 0.5])
+    with pytest.raises(ValueError, match="a must have at least one stage"):
+        sv.ButcherTableau(a=np.zeros((0, 0)), b=[])
 
 
 @pytest.mark.parametrize(
@@ -107,3 +111,38 @@ def test_admissibility_rejects_last_row_and_singular_coupling(a, b, reason):
 def test_tableau_from_config_passes_a_tableau_through():
     tableau = sv.builtin_tableaux()["lobatto_iiia_3"]
     assert sv.tableau_from_config(tableau) is tableau
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0.0, 1e-15], [0.5, 0.5]],
+        [[-1e-14, 0.0], [0.5, 0.5]],
+        [[0.0, 0.0], [0.5 + 1e-15, 0.5 - 5e-15]],
+    ],
+    ids=["a12", "a11-at-the-tolerance", "last-row"],
+)
+def test_near_admissible_entries_are_set_to_the_conditions(pendulum, a):
+    # Within 1e-14 of a_1i = 0 and a_si = b_i the entries are set to those
+    # values, so the inline tableau is the trapezoidal rule bit for bit and
+    # its steps are the builtin's.
+    trapezoidal = sv.builtin_tableaux()["rattle_trapezoidal"]
+    near = sv.ButcherTableau(a=a, b=[0.5, 0.5])
+    assert np.array_equal(near.a, trapezoidal.a) and np.array_equal(near.c, trapezoidal.c)
+    assert not np.any(near.conjugate_weights()[:, -1])
+    assert not np.any(near.noise_stage_weights()[:, -1])
+    paths = sv.generate(3, 2, pendulum.num_noise, 8)
+    ends = []
+    for tableau in ({"a": a, "b": [0.5, 0.5]}, "rattle_trapezoidal"):
+        method = {"method": "stochastic_vprk", "tableau": tableau}
+        for result in sv.integrate(pendulum, method, X0, paths.increments, paths.h_base, 8):
+            pass
+        ends.append(np.concatenate([result.state.q, result.state.p]))
+    assert np.array_equal(ends[0], ends[1])
+
+
+def test_entries_beyond_the_tolerance_are_kept():
+    tableau = sv.ButcherTableau(a=[[0.0, 1e-13], [0.5, 0.5 + 1e-13]], b=[0.5, 0.5])
+    assert tableau.a[0, 1] == 1e-13 and tableau.a[1, 1] == 0.5 + 1e-13
+    report = sv.check_admissibility(tableau)
+    assert not report.satisfied and len(report.reasons) == 2
