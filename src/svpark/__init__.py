@@ -49,7 +49,6 @@ from .deterministic import (
     euler_a_with_projection,
     euler_b_with_projection,
     project_state,
-    projection_step,
     rattle_step,
     vprk_step,
 )
@@ -64,7 +63,6 @@ from .stochastic import (
     Stepper,
     StochasticQuadrature,
     Trajectory,
-    default_quadrature,
     euler_maruyama_reference_step,
     integrate,
     make_stepper,

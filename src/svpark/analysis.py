@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_SIZE = 512
+DEFAULT_REF_REFINE = 64  # base steps per finest ladder step
 _SYMPLECTIC_EPS = 1e-5  # perturbation of the central differences
 
 
@@ -205,7 +206,7 @@ def strong_error_study(
     x0: State,
     paths,
     h_ladder,
-    ref_refine=64,
+    ref_refine=DEFAULT_REF_REFINE,
     config=None,
     block_size=DEFAULT_BLOCK_SIZE,
 ) -> StrongErrorResult:
@@ -247,7 +248,7 @@ def weak_error_study(
     paths,
     h_ladder,
     observable,
-    ref_refine=64,
+    ref_refine=DEFAULT_REF_REFINE,
     config=None,
     block_size=DEFAULT_BLOCK_SIZE,
 ) -> WeakErrorResult:

@@ -40,14 +40,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import _validate_ladder, strong_error_study, symplecticity_check, weak_error_study
+from .analysis import (
+    DEFAULT_REF_REFINE, _validate_ladder, strong_error_study, symplecticity_check, weak_error_study
+)
 from .deterministic import project_state
 from .exceptions import (
     ConfigInvalid, InvalidResolution, LadderTooShort, NameNotFound, SvparkError
 )
 from .model import State, builtin_models, constraint_residual, energy, hidden_residual
 from .noise import _is_count, generate
-from .solver import NewtonConfig
+from .solver import DEFAULT_NEWTON, NewtonConfig
 from .stochastic import make_stepper, simulate_path
 
 __all__ = ["run", "main", "load_config"]
@@ -139,7 +141,8 @@ def _resolve(config):
         raise ConfigInvalid(f"unknown model {name!r}; available: {sorted(models)}")
     system = models[name]()
     newton = _section(resolved.get("newton", {}), "newton", {"tol", "max_iter"})
-    tol, max_iter = newton.get("tol", 1e-12), newton.get("max_iter", 50)
+    tol = newton.get("tol", DEFAULT_NEWTON.tol_residual)
+    max_iter = newton.get("max_iter", DEFAULT_NEWTON.max_iter)
     resolved["newton"] = {"tol": tol, "max_iter": max_iter}
     if not _is_count(max_iter, 1):
         raise ConfigInvalid(f"newton.max_iter must be an integer >= 1, got {max_iter!r}")
@@ -172,7 +175,7 @@ def _resolve(config):
         if not isinstance(step.get("h_ladder"), list):
             raise ConfigInvalid(f"{study} needs step.h_ladder, a list of step sizes")
         ladder = [_number(h, "each step.h_ladder entry") for h in step["h_ladder"]]
-        ref_refine = step.setdefault("ref_refine", 64)
+        ref_refine = step.setdefault("ref_refine", DEFAULT_REF_REFINE)
         paths = _noise_paths(noise, system.num_noise, (t0, t1))
         try:
             _validate_ladder(paths, ladder, ref_refine)

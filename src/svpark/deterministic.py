@@ -31,7 +31,6 @@ from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
 __all__ = [
     "InternalStages",
     "StepResult",
-    "projection_step",
     "project_state",
     "euler_a_with_projection",
     "euler_b_with_projection",
@@ -122,20 +121,6 @@ def _project(system, q, p_hat, scale, config=None, v0=None):
     return p_hat + scale * _apply(GT, mu), v, mu, sol.iterations
 
 
-def projection_step(system, q, p_hat, h, config=None) -> State:
-    """Project a momentum onto the hidden velocity constraint at fixed q.
-
-    Returns the state (q, p) with p = p_hat + h * dg_dq(q)^T mu and
-    dg_dq(q) . v = 0 for the Legendre velocity v of the new momentum.
-    Fixed point of itself: momenta already satisfying the constraint are
-    returned unchanged with mu = 0.
-    """
-    q = np.asarray(q, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    p, _, _, _ = _project(system, q, p_hat, h, config)
-    return State(q=q, p=p)
-
-
 _RETRACT = NewtonConfig(tol_residual=1e-13)
 
 
@@ -146,11 +131,12 @@ def project_state(system, q, p, config=None) -> State:
     q + dg_dq(q)^T lam with Newton on the multipliers lam (SHAKE's
     equation, stopping at |g| <= 1e-13); the momentum then receives the
     constraint force dg_dq^T mu of the hidden-constraint projection.
-    Points already on the constraint set are fixed (to solver tolerance),
-    which is the property the symplecticity check and state validation
-    rely on.  Raises SingularJacobian when the constraint gradients at q
-    are degenerate (for a batch, naming the batch index) and NoConvergence
-    when the retraction does not converge.
+    A point already on the constraint set (|g| <= 1e-13) keeps its q, as
+    the retraction takes 0 iterations, and its p to solver tolerance: the
+    property the symplecticity check and state validation rely on.
+    Raises SingularJacobian when the constraint gradients at q are
+    degenerate (for a batch, naming the batch index) and NoConvergence when
+    the retraction does not converge.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
@@ -297,7 +283,7 @@ def _projected_step(system, solved, h, config) -> StepResult:
 def euler_a_with_projection(
     system, x: State, h, config=None, v=None, warm=None
 ) -> StepResult:
-    """One step of the first variational Euler scheme, then ``projection_step``.
+    """One step of the first variational Euler scheme, then the projection.
 
     The position update is q_next = q + h * v_hat with the momentum drift
     and the Legendre pairing both evaluated at (q, v_hat); the projection
@@ -313,7 +299,7 @@ def euler_a_with_projection(
 def euler_b_with_projection(
     system, x: State, h, config=None, v=None, warm=None
 ) -> StepResult:
-    """One step of the implicit-Euler variational scheme, then ``projection_step``.
+    """One step of the implicit-Euler variational scheme, then the projection.
 
     The momentum drift uses the current velocity while the Legendre pairing
     is taken at the new position.  ``v`` and ``warm`` are as for

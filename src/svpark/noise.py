@@ -9,7 +9,7 @@ adjacent pairs, repeatedly, so that coarsening by 4 is exactly coarsening
 by 2 twice.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +49,14 @@ def increment_block(seed, path_start, path_stop, num_channels, base_steps, horiz
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrownianPaths:
     """Brownian increments for an ensemble of paths at a dyadic resolution.
 
-    ``increments`` has shape (num_paths, num_channels, base_steps) with
-    entries distributed N(0, (b - a) / base_steps); it is materialized on
-    first access and cached.  Use ``block`` to obtain a slice of paths
-    without materializing the whole ensemble.
+    A frozen record of the parameters that stores no increments.
+    ``increments`` draws all paths, shape (num_paths, num_channels,
+    base_steps), entries distributed N(0, (b - a) / base_steps), and
+    ``block`` draws a range of paths; both return the same bits each call.
     """
 
     seed: int
@@ -65,7 +65,6 @@ class BrownianPaths:
     base_steps: int
     t0: float = 0.0
     t1: float = 1.0
-    _cache: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def h_base(self):
@@ -77,24 +76,13 @@ class BrownianPaths:
 
     @property
     def increments(self):
-        if self._cache is None:
-            self._cache = self.block(0, self.num_paths)
-            self._cache.setflags(write=False)
-        return self._cache
+        return self.block(0, self.num_paths)
 
     def block(self, path_start, path_stop):
         if not 0 <= path_start <= path_stop <= self.num_paths:
             raise ValueError("path block out of range")
-        if self._cache is not None:
-            return self._cache[path_start:path_stop]
-        return increment_block(
-            self.seed,
-            path_start,
-            path_stop,
-            self.num_channels,
-            self.base_steps,
-            self.horizon,
-        )
+        return increment_block(self.seed, path_start, path_stop, self.num_channels,
+                               self.base_steps, self.horizon)
 
 
 def generate(seed, num_paths, num_channels, base_steps, horizon=(0.0, 1.0)) -> BrownianPaths:

@@ -36,7 +36,6 @@ from .tableau import check_admissibility, tableau_from_config
 
 __all__ = [
     "StochasticQuadrature",
-    "default_quadrature",
     "stochastic_variational_euler_step",
     "stochastic_vprk_step",
     "euler_maruyama_reference_step",
@@ -73,18 +72,13 @@ class StochasticQuadrature:
         object.__setattr__(self, "nu", nu)
 
 
-def default_quadrature(tableau) -> StochasticQuadrature:
-    """nu = b, which sums to one for a consistent tableau."""
-    return StochasticQuadrature(nu=tableau.b.copy())
-
-
 def _stage_weights(tableau, quad):
     """Check the tableau's admissibility and that the quadrature's nu (finite
     numbers, as its constructor checks) has one weight per stage; returns
-    nu (b when ``quad`` is None)."""
+    nu, or b, which sums to one for a consistent tableau, without ``quad``."""
     check_admissibility(tableau).require()
     if quad is None:
-        quad = default_quadrature(tableau)
+        return tableau.b
     nu = quad.nu
     if nu.shape != (tableau.s,):
         raise ConditionViolated([f"quadrature nu = {nu.tolist()} of shape {nu.shape} is not "

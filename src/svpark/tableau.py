@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditionViolated, NameNotFound
+from .solver import _COND_LIMIT
 
 __all__ = [
     "ButcherTableau",
@@ -24,14 +25,13 @@ __all__ = [
     "tableau_from_config",
 ]
 
-_C_TOL = 1e-12
 _COEFF_TOL = 1e-14
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b) with node vector c recomputed as row sums.
+    """Runge-Kutta coefficients (a, b); the nodes c (the row sums of a) and
+    the stage count s are derived from them.
 
     Entries of the first row of a within 1e-14 of 0, and of the last row
     within 1e-14 of b, are set to 0 and b exactly (the tolerance of
@@ -41,7 +41,7 @@ class ButcherTableau:
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray = field(default=None)
+    c: np.ndarray = field(init=False)
     s: int = field(init=False)
 
     def __post_init__(self):
@@ -60,10 +60,6 @@ class ButcherTableau:
         last = np.abs(a[-1] - b) <= _COEFF_TOL
         a[-1, last] = b[last]
         c = a.sum(axis=1)
-        if self.c is not None:
-            given = np.asarray(self.c, dtype=float)
-            if given.shape != c.shape or np.max(np.abs(given - c)) > _C_TOL:
-                raise ValueError("c must equal the row sums of a")
         for arr in (a, b, c):
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -139,8 +135,19 @@ class TableauMap(dict):
         raise NameNotFound(f"unknown tableau {key!r}; available: {sorted(self)}")
 
 
+_BUILTINS = {
+    "rattle_trapezoidal": ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5]),
+    "lobatto_iiia_3": ButcherTableau(
+        a=[[0.0, 0.0, 0.0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
+        b=[1 / 6, 2 / 3, 1 / 6],
+    ),
+    "euler_a": ButcherTableau(a=[[0.0, 0.0], [1.0, 0.0]], b=[1.0, 0.0]),
+    "implicit_euler": ButcherTableau(a=[[1.0]], b=[1.0]),
+}
+
+
 def builtin_tableaux() -> TableauMap:
-    """The four tableaux shipped with the package.
+    """The four tableaux shipped with the package, in a new mapping.
 
     ``rattle_trapezoidal`` is the two-stage implicit trapezoidal rule behind
     RATTLE and is admissible.  ``lobatto_iiia_3`` is the three-stage
@@ -149,19 +156,10 @@ def builtin_tableaux() -> TableauMap:
     ``implicit_euler`` generate the two first-order variational Euler
     schemes; they violate the admissibility condition (b_2 = 0, resp.
     a_11 != 0) and are integrated through their dedicated step functions
-    instead.
+    instead.  The tableaux are built once, at import, and shared: they are
+    frozen and their arrays are read-only.
     """
-    return TableauMap(
-        rattle_trapezoidal=ButcherTableau(
-            a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5]
-        ),
-        lobatto_iiia_3=ButcherTableau(
-            a=[[0.0, 0.0, 0.0], [5 / 24, 1 / 3, -1 / 24], [1 / 6, 2 / 3, 1 / 6]],
-            b=[1 / 6, 2 / 3, 1 / 6],
-        ),
-        euler_a=ButcherTableau(a=[[0.0, 0.0], [1.0, 0.0]], b=[1.0, 0.0]),
-        implicit_euler=ButcherTableau(a=[[1.0]], b=[1.0]),
-    )
+    return TableauMap(_BUILTINS)
 
 
 def tableau_from_config(spec) -> ButcherTableau:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import svpark as sv
-from svpark.exceptions import LadderTooShort, StatisticallyInconclusive
+from svpark.exceptions import LadderTooShort, RankDeficient, StatisticallyInconclusive
 
 from conftest import random_states
 
@@ -253,6 +255,24 @@ def test_symplecticity_rejects_off_manifold_start(pendulum):
         sv.symplecticity_check(
             pendulum, "rattle", sv.State(q=np.array([1.1, 0.0, 0.0]), p=np.zeros(3)), 1e-3
         )
+
+
+def test_symplecticity_rejects_a_degenerate_constraint_linearization(pendulum):
+    # g = (|q|^2 - 1)^2 has the unit sphere as its zero set, but its gradient
+    # vanishes there, so the constraints do not cut out a tangent space.
+    def excess(q):
+        return np.sum(q * q, axis=-1) - 1.0
+
+    squared = replace(
+        pendulum,
+        constraint=lambda q: (excess(q) ** 2)[..., None],
+        dg_dq=lambda q: (4.0 * excess(q))[..., None, None] * q[..., None, :],
+        d2g_dq2_vv=lambda q, v: (8.0 * np.sum(q * v, axis=-1) ** 2
+                                 + 4.0 * excess(q) * np.sum(v * v, axis=-1))[..., None],
+    )
+    x = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.3, 0.0]))
+    with pytest.raises(RankDeficient, match="constraint linearization is rank deficient"):
+        sv.symplecticity_check(squared, "rattle", x, 1e-3)
 
 
 def test_symplecticity_rejects_a_batch_of_states(pendulum):

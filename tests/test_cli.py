@@ -1,10 +1,13 @@
+import inspect
 import json
 
 import pytest
 
 import svpark as sv
+from svpark.analysis import DEFAULT_REF_REFINE
 from svpark.cli import load_config, main, run
 from svpark.exceptions import ConfigInvalid
+from svpark.solver import DEFAULT_NEWTON
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -62,6 +65,24 @@ def test_strong_order_run_produces_artifacts(tmp_path, capsys):
     assert "position slope" in summary
     header = (out / "strong.csv").read_text().splitlines()[0]
     assert header == "h,error_q,error_p,stderr"
+
+
+def test_manifest_records_the_owners_defaults(tmp_path):
+    # Without a newton section or step.ref_refine, the manifest records the
+    # solver's default Newton settings and the studies' default refinement.
+    config = write_config(
+        tmp_path,
+        step={"h_ladder": [0.25, 0.125, 0.0625]},
+        noise={"seed": 77, "num_paths": 2, "base_steps": 1024},
+    )
+    out = tmp_path / "out"
+    assert run(config, output_dir=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["newton"] == {"tol": DEFAULT_NEWTON.tol_residual,
+                                  "max_iter": DEFAULT_NEWTON.max_iter}
+    assert manifest["step"]["ref_refine"] == DEFAULT_REF_REFINE
+    for study in (sv.strong_error_study, sv.weak_error_study):
+        assert inspect.signature(study).parameters["ref_refine"].default == DEFAULT_REF_REFINE
 
 
 def test_simulate_run_and_drift(tmp_path):

@@ -7,6 +7,7 @@ import svpark as sv
 from svpark import deterministic
 from svpark.model import noise_force
 from svpark.exceptions import ConditionViolated
+from svpark.tableau import ButcherTableau
 
 from conftest import (
     free_sphere_system,
@@ -71,13 +72,14 @@ class TestProjection:
     def test_already_satisfying_momentum_unchanged(self, pendulum):
         q = np.array([1.0, 0.0, 0.0])
         p_hat = np.array([0.0, 0.4, -0.1])  # tangent at q
-        state = sv.projection_step(pendulum, q, p_hat, 0.01)
+        state = sv.project_state(pendulum, q, p_hat)
+        assert np.array_equal(state.q, q)
         assert np.max(np.abs(state.p - p_hat)) <= 1e-12
 
     def test_south_pole_normal_component_removed(self, pendulum):
         q = np.array([0.0, 0.0, -1.0])
         p_hat = np.array([0.0, 0.0, 1.0])
-        state = sv.projection_step(pendulum, q, p_hat, 0.01)
+        state = sv.project_state(pendulum, q, p_hat)
         assert np.max(np.abs(state.p)) <= 1e-12
         assert sv.hidden_residual(pendulum, q, p=state.p) <= 1e-12
 
@@ -86,9 +88,24 @@ class TestProjection:
         q = rng.standard_normal(3)
         q /= np.linalg.norm(q)
         p_hat = rng.standard_normal(3)
-        once = sv.projection_step(pendulum, q, p_hat, 0.01)
-        twice = sv.projection_step(pendulum, q, once.p, 0.01)
+        once = sv.project_state(pendulum, q, p_hat)
+        twice = sv.project_state(pendulum, q, once.p)
         assert np.max(np.abs(twice.p - once.p)) <= 1e-12
+
+
+def test_general_rattle_step_builds_no_tableau(pendulum, monkeypatch):
+    # The builtin tableaux are built once, at import, and shared.
+    built = []
+    post_init = ButcherTableau.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ButcherTableau, "__post_init__", counting_post_init)
+    x = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 0.3, 0.0]))
+    sv.rattle_step(replace(pendulum, mass=None), x, 0.01)
+    assert built == []
 
 
 def test_vprk_requires_admissible_tableau(pendulum):
@@ -187,7 +204,7 @@ def test_euler_a_violates_hidden_constraint_before_projection(pendulum):
     assert sv.constraint_residual(pendulum, q) <= 1e-12
     violated = sv.hidden_residual(pendulum, q, p=p_hat)
     assert violated > 1e-4
-    projected = sv.projection_step(pendulum, q, p_hat, 0.05)
+    projected = sv.project_state(pendulum, q, p_hat)
     assert sv.hidden_residual(pendulum, projected.q, p=projected.p) <= 1e-11
 
 

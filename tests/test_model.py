@@ -81,6 +81,16 @@ def test_legendre_velocity_roundtrip(pendulum):
         assert np.max(np.abs(pendulum.dL_dv(state.q, v) - state.p)) <= 1e-12
 
 
+def test_energy_without_p_pairs_v_with_its_momentum(pendulum):
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((5, 3))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    v = rng.standard_normal((5, 3))
+    for system in (pendulum, variable_mass_sphere()):
+        from_p = sv.energy(system, q, p=system.dL_dv(q, v))
+        np.testing.assert_allclose(sv.energy(system, q, v=v), from_p, rtol=1e-12)
+
+
 def test_energy_is_kinetic_plus_potential(pendulum):
     q = np.array([1.0, 0.0, 0.0])
     p = np.array([0.0, 0.5, 0.0])

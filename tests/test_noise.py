@@ -96,9 +96,8 @@ def test_blocks_partition_bitwise():
     assert np.array_equal(full, pieces)
 
 
-def test_block_matches_cached_slice():
+def test_block_matches_increments_slice():
     paths = sv.generate(31, 10, 3, 8)
-    _ = paths.increments  # materialize the cache
     assert np.array_equal(paths.block(2, 5), paths.increments[2:5])
 
 

@@ -190,8 +190,14 @@ def test_quadrature_validation(pendulum):
     ):
         with pytest.raises(ConditionViolated, match="not admissible: quadrature"):
             sv.make_stepper(pendulum, {"method": "stochastic_vprk", "quad": quad})
-    default = sv.default_quadrature(tab)
-    assert np.allclose(default.nu, tab.b)
+    # Without a quadrature the step weighs the stages by nu = b.
+    dW = np.array([0.1, -0.2, 0.05])
+    default = sv.stochastic_vprk_step(pendulum, tab, None, x, dW, 0.01)
+    explicit = sv.stochastic_vprk_step(
+        pendulum, tab, sv.StochasticQuadrature(nu=tab.b), x, dW, 0.01
+    )
+    assert np.array_equal(default.state.q, explicit.state.q)
+    assert np.array_equal(default.state.p, explicit.state.p)
 
 
 def test_integrate_broadcasts_and_matches_single_path_runs(pendulum):
@@ -431,3 +437,63 @@ def test_simulate_path_without_paths_needs_h_and_num_steps(pendulum_quiet):
     for kwargs in ({}, {"h": 0.25}, {"num_steps": 4}):
         with pytest.raises(ValueError, match="h and num_steps are required without paths"):
             sv.simulate_path(pendulum_quiet, "rattle", X0, **kwargs)
+
+
+def axisymmetric_pendulum():
+    """The pendulum with noise potentials sin q3 and cos 2q3: like gravity,
+    they are invariant under rotations about e3."""
+
+    def along_e3(derivative):
+        def gradient(q):
+            out = np.zeros_like(q)
+            out[..., 2] = derivative(q[..., 2])
+            return out
+
+        return gradient
+
+    return replace(
+        sv.spherical_pendulum(),
+        num_noise=2,
+        gamma=(lambda q: np.sin(q[..., 2]), lambda q: np.cos(2.0 * q[..., 2])),
+        dgamma_dq=(along_e3(np.cos), along_e3(lambda z: -2.0 * np.sin(2.0 * z))),
+    )
+
+
+@pytest.fixture(scope="module")
+def axisymmetric():
+    """The system, a start off the symmetry axis, and 32 paths x 1024 steps."""
+    system = axisymmetric_pendulum()
+    x0 = sv.State(q=np.array([0.6, 0.0, -0.8]), p=np.array([0.0, 0.7, 0.0]))
+    sv.validate_system(system, [(x0.q, x0.p)])
+    paths = sv.generate(41, 32, 2, 1024, horizon=(0.0, 4.0))
+    return system, x0, paths.increments, paths.h_base
+
+
+def angular_momentum_drift(system, method, x0, increments, h):
+    """The largest change, over paths and steps, of L3 = q1 p2 - q2 p1."""
+
+    def L3(state):
+        return state.q[..., 0] * state.p[..., 1] - state.q[..., 1] * state.p[..., 0]
+
+    start = L3(x0)
+    return max(float(np.max(np.abs(L3(r.state) - start)))
+               for r in sv.integrate(system, method, x0, increments, h, increments.shape[-1]))
+
+
+LOBATTO = "lobatto_iiia_3"
+
+
+@pytest.mark.parametrize("method", [
+    "rattle", "vprk", "euler_a", "euler_b", "stochastic_variational_euler", "stochastic_vprk",
+    {"method": "vprk", "tableau": LOBATTO}, {"method": "stochastic_vprk", "tableau": LOBATTO},
+])
+def test_variational_methods_conserve_the_momentum_map(axisymmetric, method):
+    # Discrete Noether: a symmetry shared by the Lagrangian, the constraint
+    # and the noise potentials gives a momentum map conserved path by path.
+    system, x0, increments, h = axisymmetric
+    assert angular_momentum_drift(system, method, x0, increments, h) < 1e-10
+
+
+def test_euler_maruyama_reference_does_not_conserve_the_momentum_map(axisymmetric):
+    system, x0, increments, h = axisymmetric
+    assert angular_momentum_drift(system, "euler_maruyama_ref", x0, increments, h) > 1e-3

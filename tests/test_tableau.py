@@ -13,11 +13,6 @@ def test_c_recomputed_from_row_sums():
     assert t.s == 2
 
 
-def test_inconsistent_c_rejected():
-    with pytest.raises(ValueError):
-        sv.ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5], c=[0.3, 1.0])
-
-
 def test_tableau_arrays_immutable():
     t = sv.ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5])
     with pytest.raises(ValueError):
