@@ -7,10 +7,12 @@ finest resolution.  Sharing the paths couples the estimators, which is what
 makes the pathwise (strong) errors meaningful and shrinks the Monte Carlo
 variance of the weak-error estimates by orders of magnitude.
 
-Path ensembles are processed in fixed-size blocks so memory stays bounded.
-Each path owns an independent random stream, and the studies reduce the
-per-path samples of all blocks once, concatenated in path order, so their
-results are the same bits for every block size.
+Path ensembles are processed in fixed-size blocks so memory stays bounded:
+one block of increments is alive at a time, and while it is coarsened at
+most an array and its half.  Each path owns an independent random stream,
+and the studies reduce the per-path samples of all blocks once,
+concatenated in path order, so their results are the same bits for every
+block size.
 """
 
 from dataclasses import dataclass
@@ -168,6 +170,12 @@ def _collect(system, method, x0, paths, h_ladder, ref_refine, config, block_size
     ``sample(q, p, q_ref, p_ref)`` of all paths, concatenated in path order
     along the last axis.  Each block is integrated at the paths' base
     resolution (the reference) and on dyadic coarsenings of its increments.
+
+    Memory: one block of increments is alive at a time, drawn only after
+    the previous one is freed.  The rungs are built finest first by
+    successive halvings, each replacing the array it was summed from, so at
+    most an array and its half are alive at once.  The bits are those of
+    coarsening the base directly, as ``coarsen_array`` sums pairs.
     """
     h_ladder, factors = _validate_ladder(paths, h_ladder, ref_refine)
 
@@ -178,19 +186,28 @@ def _collect(system, method, x0, paths, h_ladder, ref_refine, config, block_size
             pass
         return result.state.q, result.state.p
 
-    chunks = [[] for _ in h_ladder]
+    def block_samples(start, stop):
+        """Per rung, coarsest first, the samples of paths [start, stop)."""
+        increments = paths.block(start, stop)
+        reference = endpoints(increments, paths.h_base)
+        samples, level = [], 1
+        for h, factor in zip(reversed(h_ladder), reversed(factors)):
+            while level < factor:
+                increments = coarsen_array(increments, 2)
+                level *= 2
+            samples.append(sample(*endpoints(increments, h), *reference))
+        return samples[::-1]
+
+    chunks = []
     for start in range(0, paths.num_paths, block_size):
         stop = min(start + block_size, paths.num_paths)
-        block = paths.block(start, stop)
         try:
-            reference = endpoints(block, paths.h_base)
-            for rung, h, factor in zip(chunks, h_ladder, factors):
-                rung.append(sample(*endpoints(coarsen_array(block, factor), h), *reference))
+            chunks.append(block_samples(start, stop))
         except (NoConvergence, RankDeficient, SingularJacobian) as err:
             # A step failure names a batch index; the block says which paths.
             err.args = (f"paths {start} to {stop - 1}: {err.args[0] if err.args else err}",)
             raise
-    return h_ladder, [np.concatenate(rung, axis=-1) for rung in chunks]
+    return h_ladder, [np.concatenate(rung, axis=-1) for rung in zip(*chunks)]
 
 
 def _mean_and_stderr(x):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import State, legendre_velocity, noise_force
 from .solver import NewtonConfig, _apply, _apply_inverse, newton_solve, schur_multiplier_solve
-from .tableau import ButcherTableau, builtin_tableaux, check_admissibility
+from .tableau import ButcherTableau, builtin_tableaux
 
 __all__ = [
     "InternalStages",
@@ -463,5 +463,5 @@ def vprk_step(
     configuration constraint and the hidden velocity constraint to solver
     tolerance, and the internal stages satisfy the discrete stage equations.
     """
-    check_admissibility(tableau).require()
+    tableau.admissibility.require()
     return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v)

@@ -247,10 +247,18 @@ def legendre_velocity(system, q, p, config=None, v0=None):
     return newton_solve(residual, start, config, jacobian=jac).x
 
 
+def _given_velocity(name, system, q, p, v, config):
+    """``v``, or the Legendre velocity of ``p``; ValueError without either."""
+    if v is not None:
+        return v
+    if p is None:
+        raise ValueError(f"{name} needs the momentum p or the velocity v, got neither")
+    return legendre_velocity(system, q, p, config)
+
+
 def energy(system, q, p=None, v=None, config=None):
-    """Legendre-consistent energy <p, v> - L(q, v)."""
-    if v is None:
-        v = legendre_velocity(system, q, p, config)
+    """Legendre-consistent energy <p, v> - L(q, v); needs ``p`` or ``v``."""
+    v = _given_velocity("energy", system, q, p, v, config)
     if p is None:
         p = system.dL_dv(q, v)
     return np.sum(p * v, axis=-1) - system.lagrangian(q, v)
@@ -262,9 +270,9 @@ def constraint_residual(system, q):
 
 
 def hidden_residual(system, q, p=None, v=None, config=None):
-    """Max-norm of dg_dq(q) . v with v Legendre-consistent when p is given."""
-    if v is None:
-        v = legendre_velocity(system, q, p, config)
+    """Max-norm of dg_dq(q) . v with v Legendre-consistent when p is given;
+    needs ``p`` or ``v``."""
+    v = _given_velocity("hidden_residual", system, q, p, v, config)
     Gv = (system.dg_dq(q) @ v[..., None])[..., 0]
     return np.max(np.abs(Gv), axis=-1)
 

@@ -32,7 +32,7 @@ from .model import (
     noise_force,
 )
 from .reduction import reduced_drift_diffusion
-from .tableau import check_admissibility, tableau_from_config
+from .tableau import tableau_from_config
 
 __all__ = [
     "StochasticQuadrature",
@@ -76,7 +76,7 @@ def _stage_weights(tableau, quad):
     """Check the tableau's admissibility and that the quadrature's nu (finite
     numbers, as its constructor checks) has one weight per stage; returns
     nu, or b, which sums to one for a consistent tableau, without ``quad``."""
-    check_admissibility(tableau).require()
+    tableau.admissibility.require()
     if quad is None:
         return tableau.b
     nu = quad.nu

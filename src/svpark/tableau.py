@@ -31,7 +31,9 @@ _COEFF_TOL = 1e-14
 @dataclass(frozen=True)
 class ButcherTableau:
     """Runge-Kutta coefficients (a, b); the nodes c (the row sums of a) and
-    the stage count s are derived from them.
+    the stage count s are derived from them, and so is ``admissibility``,
+    the ``check_admissibility`` report, formed once when the tableau is
+    built and left out of ``==`` and ``repr``.
 
     Entries of the first row of a within 1e-14 of 0, and of the last row
     within 1e-14 of b, are set to 0 and b exactly (the tolerance of
@@ -43,6 +45,7 @@ class ButcherTableau:
     b: np.ndarray
     c: np.ndarray = field(init=False)
     s: int = field(init=False)
+    admissibility: "AdmissibilityReport" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -66,6 +69,7 @@ class ButcherTableau:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", a.shape[0])
+        object.__setattr__(self, "admissibility", _admissibility(self))
 
     def conjugate_weights(self):
         """Partner coefficients for the momentum stages.
@@ -102,8 +106,14 @@ def check_admissibility(tableau: ButcherTableau) -> AdmissibilityReport:
     zero, so the informative block is exactly that submatrix.
 
     Pure function of the coefficients; returns a structured report rather
-    than raising.
+    than raising.  The report is formed when the tableau is built, so this
+    costs nothing per call.
     """
+    return tableau.admissibility
+
+
+def _admissibility(tableau):
+    """The report of ``check_admissibility``, formed from the coefficients."""
     a, b, s = tableau.a, tableau.b, tableau.s
     reasons = []
     for i in range(s):

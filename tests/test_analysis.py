@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,52 @@ def test_studies_give_the_same_bits_for_every_block_size(pendulum, seed, num_pat
     block_size = data.draw(st.integers(1, num_paths), label="block_size")
     for bits in (strong_bits, weak_bits):
         assert bits(pendulum, paths, block_size) == bits(pendulum, paths, num_paths)
+
+
+def test_a_study_frees_each_block_before_drawing_the_next(pendulum, monkeypatch):
+    # One block of increments at a time: the first is garbage by the time
+    # the second is drawn.
+    draw = sv.noise.increment_block
+    blocks, alive_at_draw = [], []
+
+    def recorded(*args):
+        alive_at_draw.append([ref() is not None for ref in blocks])
+        block = draw(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(sv.noise, "increment_block", recorded)
+    paths = sv.generate(5, 8, 3, 2**6)
+    sv.strong_error_study(
+        pendulum, "stochastic_variational_euler", X0, paths, SMALL_LADDER,
+        ref_refine=4, block_size=4,
+    )
+    assert alive_at_draw == [[], [False]]
+
+
+def test_a_study_coarsens_each_block_by_successive_halvings(pendulum, monkeypatch):
+    # The ladder is built finest rung first, one halving at a time, each from
+    # the previous halving: only the first call of a block sees the base.
+    coarsen = sv.analysis.coarsen_array
+    calls, outputs = [], []
+
+    def recorded(increments, factor):
+        follows = bool(outputs) and outputs[-1]() is increments
+        calls.append((increments.shape, factor, follows))
+        out = coarsen(increments, factor)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(sv.analysis, "coarsen_array", recorded)
+    paths = sv.generate(5, 8, 3, 2**6)
+    sv.strong_error_study(
+        pendulum, "stochastic_variational_euler", X0, paths, SMALL_LADDER,
+        ref_refine=4, block_size=4,
+    )
+    # Base 2**6 steps; the rungs take factors 4, 8 and 16.
+    per_block = [((4, 3, 64), 2, False), ((4, 3, 32), 2, True),
+                 ((4, 3, 16), 2, True), ((4, 3, 8), 2, True)]
+    assert calls == per_block * 2
 
 
 def test_weak_study_rejects_an_observable_without_one_value_per_path(pendulum):

@@ -91,6 +91,15 @@ def test_energy_without_p_pairs_v_with_its_momentum(pendulum):
         np.testing.assert_allclose(sv.energy(system, q, v=v), from_p, rtol=1e-12)
 
 
+@pytest.mark.parametrize("separable", [True, False])
+def test_energy_and_hidden_residual_need_p_or_v(pendulum, separable):
+    system = pendulum if separable else replace(pendulum, mass=None)
+    q = np.array([1.0, 0.0, 0.0])
+    for function in (sv.energy, sv.hidden_residual):
+        with pytest.raises(ValueError, match="needs the momentum p or the velocity v"):
+            function(system, q)
+
+
 def test_energy_is_kinetic_plus_potential(pendulum):
     q = np.array([1.0, 0.0, 0.0])
     p = np.array([0.0, 0.5, 0.0])

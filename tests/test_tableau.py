@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,33 @@ def test_check_is_pure_and_idempotent():
     first = sv.check_admissibility(t)
     second = sv.check_admissibility(t)
     assert first == second
+
+
+def test_admissibility_is_formed_once_and_left_out_of_eq_and_repr():
+    t = sv.builtin_tableaux()["lobatto_iiia_3"]
+    assert sv.check_admissibility(t) is t.admissibility
+    assert "admissibility" not in repr(t)
+    assert not {f.name: f.compare for f in fields(t)}["admissibility"]
+    with pytest.raises(AttributeError):
+        t.admissibility = sv.AdmissibilityReport(satisfied=False, reasons=("x",))
+
+
+def test_a_vprk_step_runs_no_svd(pendulum, monkeypatch):
+    # The admissibility report, with its condition number, is formed when the
+    # tableau is built, not on every step.
+    tab = sv.builtin_tableaux()["rattle_trapezoidal"]
+    cond = np.linalg.cond
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    x, dW = X0, np.array([0.01, -0.02, 0.03])
+    for _ in range(5):
+        x = sv.stochastic_vprk_step(pendulum, tab, None, x, dW, 0.01).state
+    assert calls == []
 
 
 def test_builtin_names_and_coefficients():
