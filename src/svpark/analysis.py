@@ -29,7 +29,7 @@ from .exceptions import (
 from .deterministic import project_state
 from .model import State, constraint_residual, hidden_residual, legendre_velocity
 from .noise import coarsen_array
-from .stochastic import integrate, make_stepper
+from .stochastic import _check_steps, integrate, make_stepper
 
 __all__ = [
     "ConvergenceReport",
@@ -380,8 +380,10 @@ def symplecticity_check(system, step, x0: State, h, dW=None, config=None):
     have a leading batch axis and must broadcast over it, as every svpark
     step does.  ``dW`` is held fixed, so for stochastic methods this tests
     the map at one frozen realization; a named method that reads noise
-    raises ValueError without it (see ``make_stepper``).
+    raises ValueError without it (see ``make_stepper``), and every call
+    raises ValueError unless ``h`` is a finite number > 0.
     """
+    _check_steps(h)
     q0, p0 = x0.q, x0.p
     n = system.dim_q
     if np.shape(q0) != (n,) or np.shape(p0) != (n,):

@@ -11,10 +11,10 @@ is part of the step's own equations.
 
 For a separable system (one that declares a constant ``mass`` M) the
 velocities are explicit in the multipliers: the Euler, SVE and RATTLE
-steps reduce to the SHAKE multiplier equation g(q + h M^{-1}(d + c G^T lam))
-= 0, a Newton iteration on the k multipliers alone, and the projection is
-one closed-form saddle solve (Hairer, Lubich and Wanner, Geometric
-Numerical Integration, VII.1).
+steps are one kick-SHAKE-kick map, force weight theta = 1 or 1/2, its SHAKE
+equation g(q + h M^{-1}(d + theta h G^T lam)) = 0 a Newton on the k
+multipliers alone, and the projection is one closed-form saddle solve
+(Hairer, Lubich and Wanner, Geometric Numerical Integration, VII.1).
 
 Every function broadcasts over leading batch dimensions of the state
 arrays, which is how trajectory ensembles are integrated in one sweep.
@@ -59,10 +59,13 @@ class StepResult:
     ``newton_iters`` counts the step's Newton iterations plus the
     projection's: for a separable system the multiplier Newton's iterations
     plus 1 for the closed-form projection.  ``velocity`` is the Legendre
-    velocity of the new state.  ``warm`` is the step's position multipliers
-    ``multipliers[0]`` on a separable system, where they start the next
-    step's multiplier Newton, and None otherwise: every other Newton starts
-    from the carried velocity and zero multipliers.
+    velocity of the new state.  ``stages`` is filled by the partitioned
+    Runge-Kutta solve only (``vprk_step``, ``stochastic_vprk_step``, and
+    ``rattle_step`` without a ``mass``) and is None for every other step.
+    ``warm`` is the step's position multipliers ``multipliers[0]`` on a
+    separable system, where they start the next step's multiplier Newton,
+    and None otherwise: every other Newton starts from the carried velocity
+    and zero multipliers.
     """
 
     state: State
@@ -180,26 +183,34 @@ def _shake_newton(system, start, W, config, warm):
     return position(sol.x), sol
 
 
-def _multiplier_newton(system, q, d, h, c, config, warm):
-    """SHAKE's multiplier equation for a separable system: the momentum
-    d + c G(q)^T lam moves q to q + h M^{-1}(d + c G(q)^T lam), and Newton
-    on the k multipliers puts that position on g = 0.  The k x k Jacobian
-    is h c G(q_next) M^{-1} G(q)^T.  Returns the position, momentum,
-    velocity, multipliers and the Newton iteration count.
+def _separable_core(system, x: State, h, theta, kick, config, v, warm):
+    """The kick-SHAKE-kick map of a separable system, with force weight theta.
+
+    d = p + theta h dL_dq(q, v), plus ``kick`` when given, then Newton on
+    the multipliers lam, started from ``warm``, for SHAKE's equation
+    g(q + h M^{-1}(d + theta h G(q)^T lam)) = 0; when theta != 1 the momentum
+    then gains (1 - theta) h dL_dq(q_next).  theta = 1 is the Euler and SVE
+    step, theta = 1/2 RATTLE's.  Returns (q_next, p_hat, v_hat, lam,
+    iterations), for ``_projected_step`` with weight theta h.
     """
+    q, p = x.q, x.p
+    if v is None:
+        v = legendre_velocity(system, q, p, config)
+    c = theta * h
+    d = p + c * system.dL_dq(q, v)
+    if kick is not None:
+        d = d + kick
     GT = _gt(system.dg_dq(q))
     k = GT.shape[-1]
     solved = _apply_inverse(system.mass_inverse, np.concatenate([GT, d[..., None]], axis=-1))
     MinvGT, Minv_d = solved[..., :k], solved[..., k]
     q_next, sol = _shake_newton(system, q + h * Minv_d, (h * c) * MinvGT, config, warm)
     lam = sol.x
-    return (
-        q_next,
-        d + c * _apply(GT, lam),
-        Minv_d + c * _apply(MinvGT, lam),
-        lam,
-        sol.iterations,
-    )
+    p_hat = d + c * _apply(GT, lam)
+    v_hat = Minv_d + c * _apply(MinvGT, lam)
+    if theta != 1:
+        p_hat = p_hat + ((1 - theta) * h) * system.dL_dq(q_next, v_hat)
+    return q_next, p_hat, v_hat, lam, sol.iterations
 
 
 def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, v):
@@ -228,10 +239,10 @@ def _euler_newton(system, q, h, target, momentum, momentum_jacobian, config, v):
 
 def _euler_a_core(system, x: State, h, config=None, v=None, warm=None):
     """Implicit solve of the first Euler scheme (see ``euler_a_with_projection``).
-    Returns (q_next, p_hat, v_hat, lam, iterations), as ``_multiplier_newton``
+    Returns (q_next, p_hat, v_hat, lam, iterations), as ``_separable_core``
     does; p_hat satisfies g(q_next) = 0 but not the hidden constraint."""
     if system.mass is not None:
-        return _euler_b_core(system, x, h, None, config, v=v, warm=warm)
+        return _separable_core(system, x, h, 1.0, None, config, v, warm)
     q, p = x.q, x.p
     if v is None:
         v = legendre_velocity(system, q, p, config)
@@ -250,14 +261,14 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     additive momentum kick, and the Legendre pairing at the new position.
     Returns the tuple of ``_euler_a_core``.
     """
+    if system.mass is not None:
+        return _separable_core(system, x, h, 1.0, kick, config, v, warm)
     q, p = x.q, x.p
     if v is None:
         v = legendre_velocity(system, q, p, config)
     drift = p + h * system.dL_dq(q, v)
     if kick is not None:
         drift = drift + kick
-    if system.mass is not None:
-        return _multiplier_newton(system, q, drift, h, h, config, warm)
 
     def momentum_jacobian(v_hat):
         q_next = q + h * v_hat
@@ -271,10 +282,11 @@ def _euler_b_core(system, x: State, h, kick, config=None, v=None, warm=None):
     return q_next, system.dL_dv(q_next, v_hat), v_hat, lam, iters
 
 
-def _projected_step(system, solved, h, config) -> StepResult:
-    """The StepResult of an Euler core's tuple, with the momentum projected."""
+def _projected_step(system, solved, scale, config) -> StepResult:
+    """The StepResult of a core's tuple, its momentum projected with weight
+    ``scale``: h after an Euler core, theta h after ``_separable_core``."""
     q, p_hat, v_hat, lam, iters = solved
-    p, v, mu, proj_iters = _project(system, q, p_hat, h, config, v0=v_hat)
+    p, v, mu, proj_iters = _project(system, q, p_hat, scale, config, v0=v_hat)
     warm = lam if system.mass is not None else None
     return StepResult(State(q=q, p=p), stages=None, multipliers=[lam, mu],
                       newton_iters=iters + proj_iters, velocity=v, warm=warm)
@@ -315,38 +327,18 @@ def euler_b_with_projection(
 def rattle_step(system, x: State, h, config=None, v=None, warm=None) -> StepResult:
     """One step of variational RATTLE (two-stage trapezoidal scheme).
 
-    For a separable system this is the classical form: the half-step
-    momentum p_half = p + (h/2)(dL_dq(q) + G(q)^T lam1) moves q to
-    q + h M^{-1} p_half on g = 0 (Newton on lam1 alone), and
-    p_half + (h/2) dL_dq(q_next) is projected with the velocity multiplier
-    lam2.  Any other system takes ``vprk_step`` on the trapezoidal tableau,
-    with which the separable form agrees to solver tolerance.
+    For a separable system this is the classical form, ``_separable_core``
+    with theta = 1/2: the half-step momentum p_half = p + (h/2)(dL_dq(q) +
+    G(q)^T lam1) moves q to q + h M^{-1} p_half on g = 0, and p_half + (h/2)
+    dL_dq(q_next) is projected with the velocity multiplier lam2; ``stages``
+    is None.  Any other system takes ``vprk_step`` on the trapezoidal
+    tableau, with which the separable form agrees to solver tolerance.
     """
     if system.mass is None:
         tableau = builtin_tableaux()["rattle_trapezoidal"]
         return _vprk_core(system, tableau, x, h, config, nu=None, dW=None, v=v)
-    q, p = x.q, x.p
-    if v is None:
-        v = legendre_velocity(system, q, p, config)
-    q_next, p_half, v_half, lam1, iters = _multiplier_newton(
-        system, q, p + 0.5 * h * system.dL_dq(q, v), h, 0.5 * h, config, warm
-    )
-    p_hat = p_half + 0.5 * h * system.dL_dq(q_next, v_half)
-    p_next, v_next, lam2, proj_iters = _project(system, q_next, p_hat, 0.5 * h, config)
-    stages = InternalStages(
-        Q=np.stack([q, q_next], axis=-2),
-        V=np.stack([v_half, v_half], axis=-2),
-        P=np.stack([p_half, p_half], axis=-2),
-        Lambda=np.stack([lam1, lam2], axis=-2),
-    )
-    return StepResult(
-        state=State(q=q_next, p=p_next),
-        stages=stages,
-        multipliers=[lam1, lam2],
-        newton_iters=iters + proj_iters,
-        velocity=v_next,
-        warm=lam1,
-    )
+    return _projected_step(system, _separable_core(system, x, h, 0.5, None, config, v, warm),
+                           0.5 * h, config)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ so setting all increments to zero reproduces the deterministic schemes
 exactly, down to the bit pattern of the Newton iterates.
 """
 
+import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -32,7 +34,7 @@ from .model import (
     noise_force,
 )
 from .reduction import reduced_drift_diffusion
-from .tableau import tableau_from_config
+from .tableau import _array_key, tableau_from_config
 
 __all__ = [
     "StochasticQuadrature",
@@ -58,7 +60,8 @@ class StochasticQuadrature:
     ConditionViolated unless ``nu`` is a non-empty 1-D array of finite
     numbers (and ValueError or TypeError when it does not convert to
     floats); that it has one weight per stage is checked against the
-    tableau it is used with.
+    tableau it is used with.  Quadratures compare and hash by the shape
+    and bytes of ``nu``.
     """
 
     nu: np.ndarray
@@ -70,6 +73,14 @@ class StochasticQuadrature:
                                      "a non-empty 1-D array of finite numbers"])
         nu.setflags(write=False)
         object.__setattr__(self, "nu", nu)
+
+    def __eq__(self, other):
+        if not isinstance(other, StochasticQuadrature):
+            return NotImplemented
+        return _array_key(self.nu) == _array_key(other.nu)
+
+    def __hash__(self):
+        return hash(_array_key(self.nu))
 
 
 def _stage_weights(tableau, quad):
@@ -250,25 +261,36 @@ def make_stepper(system, method, config=None) -> Stepper:
     return Stepper(step, uses_noise)
 
 
+def _check_steps(h, num_steps=0):
+    """The run rule: ValueError unless ``h`` is a finite number > 0 and
+    ``num_steps`` an integer >= 0."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be a finite number > 0, got {h!r}")
+    if not noise._is_count(num_steps, 0):
+        raise ValueError(f"num_steps must be an integer >= 0, got {num_steps!r}")
+
+
 def integrate(system, method, x0: State, increments, h, num_steps, config=None):
     """Advance ``x0`` by ``num_steps`` steps of size ``h``; returns a generator.
 
     ``increments`` has shape (..., m, steps), or is None for a method that
     reads no noise; ``x0`` is broadcast to its batch shape (...).  The
     arguments are checked, and the initial Legendre velocity formed, at the
-    call, before any step: ``make_stepper``'s errors for the method, and
-    ValueError when ``num_steps`` exceeds the increments' steps.  The
-    generator yields each step's StepResult, whose ``velocity`` is the
-    Legendre velocity of its state.  Errors raised by a step are re-raised
-    with the step index, step count and step size prepended.
+    call, before any step: ValueError unless ``h`` is a finite number > 0
+    and ``num_steps`` an integer >= 0, ``make_stepper``'s errors for the
+    method, and ValueError when ``num_steps`` exceeds the increments'
+    steps.  The generator yields each step's StepResult, whose ``velocity``
+    is the Legendre velocity of its state.  Errors raised by a step are
+    re-raised with the step index, step count and step size prepended.
     """
-    stepper, state, v = _start(system, method, x0, increments, num_steps, config)
+    stepper, state, v = _start(system, method, x0, increments, h, num_steps, config)
     return _steps(stepper, state, v, increments, h, num_steps)
 
 
-def _start(system, method, x0, increments, num_steps, config):
+def _start(system, method, x0, increments, h, num_steps, config):
     """The call-time part of ``integrate``: its checks, the stepper, the
     initial state broadcast to the batch shape and its Legendre velocity."""
+    _check_steps(h, num_steps)
     stepper = make_stepper(system, method, config)
     if increments is None:
         batch = np.shape(x0.q)[:-1]
@@ -338,14 +360,16 @@ def simulate_path(
     which must be a power-of-two multiple of ``paths.h_base``.
     ``num_steps`` defaults to the steps of the coarsened path and may not
     exceed them.  Deterministic methods may omit ``paths`` and then need
-    ``h`` and ``num_steps``.  The residual and energy series are evaluated
-    once, on the stacked states.  Errors raised by a step are re-raised as
-    ``integrate`` re-raises them.
+    ``h`` and ``num_steps``.  ``h`` and ``num_steps`` are checked as
+    ``integrate`` checks them, before any step.  The residual and energy
+    series are evaluated once, on the stacked states.  Errors raised by a
+    step are re-raised as ``integrate`` re-raises them.
     """
     increments = None
     if paths is not None:
         if h is None:
             h = paths.h_base
+        _check_steps(h)  # before h sets the coarsening factor
         factor = round(h / paths.h_base)
         if abs(h / paths.h_base - factor) > 1e-9:
             raise ValueError(f"step size {h} is not a multiple of the base step {paths.h_base}")
@@ -358,7 +382,7 @@ def simulate_path(
     elif num_steps is None or h is None:
         raise ValueError("h and num_steps are required without paths")
 
-    stepper, state, v0 = _start(system, method, x0, increments, num_steps, config)
+    stepper, state, v0 = _start(system, method, x0, increments, h, num_steps, config)
     q = np.empty((num_steps + 1,) + state.q.shape)
     p = np.empty_like(q)
     v = np.empty_like(q)

@@ -28,12 +28,18 @@ __all__ = [
 _COEFF_TOL = 1e-14
 
 
+def _array_key(*arrays):
+    """Shapes and bytes of coefficient arrays: what ``==`` and ``hash`` read."""
+    return tuple((x.shape, x.tobytes()) for x in arrays)
+
+
 @dataclass(frozen=True)
 class ButcherTableau:
     """Runge-Kutta coefficients (a, b); the nodes c (the row sums of a) and
     the stage count s are derived from them, and so is ``admissibility``,
     the ``check_admissibility`` report, formed once when the tableau is
-    built and left out of ``==`` and ``repr``.
+    built and left out of ``==`` and ``repr``.  Tableaux compare and hash
+    by the shapes and bytes of a and b, so one can key a dict.
 
     Entries of the first row of a within 1e-14 of 0, and of the last row
     within 1e-14 of b, are set to 0 and b exactly (the tolerance of
@@ -70,6 +76,14 @@ class ButcherTableau:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", a.shape[0])
         object.__setattr__(self, "admissibility", _admissibility(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, ButcherTableau):
+            return NotImplemented
+        return _array_key(self.a, self.b) == _array_key(other.a, other.b)
+
+    def __hash__(self):
+        return hash(_array_key(self.a, self.b))
 
     def conjugate_weights(self):
         """Partner coefficients for the momentum stages.

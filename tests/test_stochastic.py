@@ -15,6 +15,7 @@ from svpark.exceptions import (
 from svpark.noise import coarsen_array
 
 from conftest import random_states
+from test_separable import README_METHODS
 
 
 X0 = sv.State(q=np.array([1.0, 0.0, 0.0]), p=np.zeros(3))
@@ -119,6 +120,41 @@ def test_one_step_agreement_with_reference_scheme(pendulum):
     slope_q, _ = sv.fit_loglog_slope(hs, gap_q)
     assert 1.8 <= slope_p <= 2.2
     assert 1.35 <= slope_q <= 1.65
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize("method", README_METHODS)
+def test_step_size_is_checked_before_any_step(monkeypatch, pendulum, method, h):
+    # Unchecked, h = 0 runs every step into NaN multipliers and h < 0 runs
+    # silently; no stepper or loop may be built before the check.
+    monkeypatch.setattr(stochastic, "make_stepper", None)
+    monkeypatch.setattr(stochastic, "_steps", None)
+    increments = sv.generate(1, 1, 3, 4).increments[0]
+    named = f"h must be a finite number > 0, got {h!r}"
+    with pytest.raises(ValueError, match=named):
+        sv.integrate(pendulum, method, X0, increments, h, 4)
+    with pytest.raises(ValueError, match=named):
+        sv.simulate_path(pendulum, method, X0, h=h, num_steps=4)
+
+
+@pytest.mark.parametrize("num_steps", [-1, 2.0, None])
+def test_step_count_is_checked_before_any_step(monkeypatch, pendulum, num_steps):
+    monkeypatch.setattr(stochastic, "_steps", None)
+    named = f"num_steps must be an integer >= 0, got {num_steps!r}"
+    with pytest.raises(ValueError, match=named):
+        sv.integrate(pendulum, "rattle", X0, None, 0.25, num_steps)
+    if num_steps is not None:  # None means "the path's steps" with paths
+        with pytest.raises(ValueError, match=named):
+            sv.simulate_path(pendulum, "rattle", X0, h=0.25, num_steps=num_steps)
+
+
+def test_simulate_path_and_symplecticity_check_reject_a_bad_h_with_noise(pendulum):
+    paths = sv.generate(1, 1, 3, 16)
+    for h in (0.0, -1 / 16, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="h must be a finite number > 0"):
+            sv.simulate_path(pendulum, "stochastic_variational_euler", X0, paths, h=h)
+        with pytest.raises(ValueError, match="h must be a finite number > 0"):
+            sv.symplecticity_check(pendulum, "rattle", X0, h)
 
 
 def test_simulate_path_zero_steps_returns_initial_state(pendulum):

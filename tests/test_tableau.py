@@ -49,6 +49,21 @@ def test_check_is_pure_and_idempotent():
     assert first == second
 
 
+def test_tableaux_and_quadratures_compare_and_hash_by_their_coefficients():
+    # The generated dataclass == compares the arrays elementwise, which
+    # raises for equal but distinct instances, and arrays do not hash.
+    trapezoid = sv.builtin_tableaux()["rattle_trapezoidal"]
+    same = sv.tableau_from_config({"a": [[0.0, 0.0], [0.5, 0.5]], "b": [0.5, 0.5]})
+    assert same is not trapezoid and same == trapezoid and hash(same) == hash(trapezoid)
+    assert trapezoid != sv.builtin_tableaux()["lobatto_iiia_3"]
+    assert trapezoid != sv.ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.25, 0.75])
+    assert {trapezoid: "rattle"}[same] == "rattle"
+    nu = sv.StochasticQuadrature(nu=[0.5, 0.5])
+    assert nu == sv.StochasticQuadrature(nu=np.array([0.5, 0.5]))
+    assert hash(nu) == hash(sv.StochasticQuadrature(nu=[0.5, 0.5]))
+    assert nu != sv.StochasticQuadrature(nu=[0.5, 0.25, 0.25]) and nu != trapezoid
+
+
 def test_admissibility_is_formed_once_and_left_out_of_eq_and_repr():
     t = sv.builtin_tableaux()["lobatto_iiia_3"]
     assert sv.check_admissibility(t) is t.admissibility
